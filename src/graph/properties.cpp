@@ -9,10 +9,12 @@
 namespace dapsp::graph {
 
 Weight max_finite_distance(const Graph& g) {
+  std::vector<Weight> dist(g.node_count());
+  seq::RowWorkspace ws;
   Weight best = 0;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto r = seq::dijkstra(g, s);
-    for (const Weight d : r.dist) {
+    seq::dijkstra_row(g, s, dist, {}, ws);
+    for (const Weight d : dist) {
       if (d != kInfDist) best = std::max(best, d);
     }
   }
@@ -31,9 +33,11 @@ Weight max_finite_hop_distance(const Graph& g, std::uint32_t h) {
 }
 
 bool strongly_connected(const Graph& g) {
+  std::vector<Weight> dist(g.node_count());
+  seq::RowWorkspace ws;
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    const auto r = seq::dijkstra(g, s);
-    for (const Weight d : r.dist) {
+    seq::dijkstra_row(g, s, dist, {}, ws);
+    for (const Weight d : dist) {
       if (d == kInfDist) return false;
     }
   }

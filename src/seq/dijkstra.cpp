@@ -1,7 +1,10 @@
 #include "seq/dijkstra.hpp"
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
+
+#include "util/int_math.hpp"
 
 namespace dapsp::seq {
 
@@ -74,6 +77,63 @@ SsspResult dijkstra_reverse(const Graph& g, NodeId target) {
     for (const auto& e : g.in_edges(v)) out.emplace_back(e.from, e.weight);
     return out;
   });
+}
+
+void dijkstra_row(const Graph& g, NodeId source, std::span<Weight> dist,
+                  std::span<NodeId> next, RowWorkspace& ws) {
+  const NodeId n = g.node_count();
+  util::check(source < n && dist.size() == n &&
+                  (next.empty() || next.size() == n),
+              "dijkstra_row: source out of range or row size is not n");
+  std::fill(dist.begin(), dist.end(), kInfDist);
+  std::fill(next.begin(), next.end(), kNoNode);
+  // Grow-only: hops/via of a node are read only once dist is finite, and
+  // every finite dist was written together with them in this call.
+  if (ws.hops.size() < n) {
+    ws.hops.resize(n);
+    ws.via.resize(n);
+  }
+  std::uint32_t* const hops = ws.hops.data();
+  NodeId* const via = ws.via.data();
+  auto& heap = ws.heap;
+  // Min-heap on (dist, hops).  Ties between nodes need no order: a label
+  // never depends on the order in which equal keys settle.
+  const auto later = [](const RowWorkspace::Entry& a,
+                        const RowWorkspace::Entry& b) {
+    return a.dist != b.dist ? a.dist > b.dist : a.hops > b.hops;
+  };
+
+  dist[source] = 0;
+  hops[source] = 0;
+  via[source] = kNoNode;
+  heap.clear();
+  heap.push_back({0, 0, source});
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), later);
+    const RowWorkspace::Entry top = heap.back();
+    heap.pop_back();
+    const NodeId u = top.node;
+    // Only a strictly better (dist, hops) is pushed, so exactly one entry
+    // per node matches its final label; the others are stale.
+    if (top.dist != dist[u] || top.hops != hops[u]) continue;
+    if (!next.empty() && u != source) {
+      next[u] = via[u] == source ? u : next[via[u]];
+    }
+    const std::uint32_t h = top.hops + 1;
+    for (const graph::Edge& e : g.out_edges(u)) {
+      const NodeId v = e.to;
+      const Weight d = top.dist + e.weight;
+      if (d < dist[v] || (d == dist[v] && h < hops[v])) {
+        dist[v] = d;
+        hops[v] = h;
+        via[v] = u;
+        heap.push_back({d, h, v});
+        std::push_heap(heap.begin(), heap.end(), later);
+      } else if (d == dist[v] && h == hops[v] && u < via[v]) {
+        via[v] = u;  // same key, smaller parent: the entry stays valid
+      }
+    }
+  }
 }
 
 std::vector<std::vector<Weight>> apsp(const Graph& g) {

@@ -2,13 +2,9 @@
 
 #include <algorithm>
 
-#include "seq/dijkstra.hpp"
 #include "util/int_math.hpp"
-#include "util/thread_pool.hpp"
 
 namespace dapsp::serve {
-
-using graph::kNoNode;
 
 ShardedOracle::ShardedOracle(NodeId n, std::size_t shards) : n_(n) {
   const std::size_t s =
@@ -74,30 +70,24 @@ std::shared_ptr<ShardedOracle> build_sharded_oracle(
     // partition the finished oracle row-by-row.
     return ShardedOracle::from_flat(service::build_oracle(g, opts), shards);
   }
-  // Reference solver: fill each shard row directly from its source's
-  // Dijkstra run -- no flat n x n matrix ever exists, so peak memory is the
-  // sharded result itself.  Rows are computed by the same per-source
-  // routine the flat builder uses, so the output is bit-identical to
-  // from_flat(build_oracle(g, kReference)).
+  // Reference solver: the flat builder's row loop writes each source's rows
+  // straight into its shard -- no flat n x n matrix ever exists, so peak
+  // memory is the sharded result itself, and the output is bit-identical
+  // to from_flat(build_oracle(g, kReference)).
   const NodeId n = g.node_count();
   auto out = std::shared_ptr<ShardedOracle>(new ShardedOracle(n, shards));
   out->exact_ = true;
   out->has_paths_ = true;
-  out->label_ = "reference (sequential Dijkstra sweep)";
+  out->label_ = service::kReferenceLabel;
   for (auto& s : out->shards_) {
     const std::size_t rows = s.row_end - s.row_begin;
-    s.dist.assign(rows * n, 0);
-    s.next.assign(rows * n, kNoNode);
+    s.dist.resize(rows * n);
+    s.next.resize(rows * n);
   }
-  util::ThreadPool::global().parallel_for(n, [&](std::size_t src) {
-    const NodeId u = static_cast<NodeId>(src);
+  service::fill_reference_rows(g, [&](NodeId u) {
     auto& s = out->shards_[u / out->rows_per_shard_];
-    const std::size_t off =
-        static_cast<std::size_t>(u - s.row_begin) * n;
-    auto r = seq::dijkstra(g, u);
-    std::copy(r.dist.begin(), r.dist.end(), s.dist.data() + off);
-    service::next_hops_from_parents(u, n, r.dist, r.parent,
-                                    s.next.data() + off);
+    const std::size_t off = static_cast<std::size_t>(u - s.row_begin) * n;
+    return service::RowSlot{s.dist.data() + off, s.next.data() + off};
   });
   return out;
 }

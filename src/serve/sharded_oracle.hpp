@@ -89,11 +89,11 @@ class ShardedOracle final : public service::OracleSnapshot {
 };
 
 /// Enum-dispatched sharded factory, mirroring service::build_oracle.  The
-/// kReference solver builds each shard directly from per-source Dijkstra
-/// runs (never materializing a flat n x n matrix -- peak memory is one shard
-/// plus the result); the CONGEST solvers produce the full closure and are
-/// partitioned row-by-row.  Throws like build_oracle (empty graph, fault
-/// partition).
+/// kReference solver runs the flat builder's row loop
+/// (service::fill_reference_rows) with each source's rows placed in its
+/// shard, never materializing a flat n x n matrix; the CONGEST solvers
+/// produce the full closure and are partitioned row-by-row.  Throws like
+/// build_oracle (empty graph, fault partition).
 std::shared_ptr<ShardedOracle> build_sharded_oracle(
     const graph::Graph& g, const service::OracleBuildOptions& opts,
     std::size_t shards);

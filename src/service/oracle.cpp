@@ -186,12 +186,14 @@ class ScopedBuildRecorder {
 
 }  // namespace
 
-void next_hops_from_parents(NodeId s, NodeId n,
-                            std::span<const Weight> dist_row,
-                            std::span<const NodeId> parent_row,
-                            NodeId* next_row) {
-  std::vector<NodeId> stack;
-  fill_next_hops_from_parents(s, n, dist_row, parent_row, next_row, stack);
+void fill_reference_rows(const Graph& g,
+                         const std::function<RowSlot(NodeId)>& slot) {
+  const NodeId n = g.node_count();
+  seq::RowWorkspace ws;
+  for (NodeId s = 0; s < n; ++s) {
+    const RowSlot row = slot(s);
+    seq::dijkstra_row(g, s, {row.dist, n}, {row.next, n}, ws);
+  }
 }
 
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
@@ -328,16 +330,15 @@ DistanceOracle build_oracle_impl(const Graph& g,
       return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}});
     }
     case Solver::kReference: {
-      std::vector<std::vector<Weight>> dist(n);
-      std::vector<std::vector<NodeId>> parent(n);
-      for (NodeId s = 0; s < n; ++s) {
-        auto r = seq::dijkstra(g, s);
-        dist[s] = std::move(r.dist);
-        parent[s] = std::move(r.parent);
-      }
-      return make_oracle(dist, parent,
-                         {"reference (sequential Dijkstra sweep)", true, {},
-                          {}});
+      const std::size_t cells = static_cast<std::size_t>(n) * n;
+      std::vector<Weight> dist(cells);
+      std::vector<NodeId> next(cells);
+      fill_reference_rows(g, [&](NodeId s) {
+        const std::size_t off = static_cast<std::size_t>(s) * n;
+        return RowSlot{dist.data() + off, next.data() + off};
+      });
+      return make_oracle_from_rows(n, std::move(dist), std::move(next),
+                                   {kReferenceLabel, true, {}, {}});
     }
   }
   throw std::logic_error("build_oracle: unhandled solver");

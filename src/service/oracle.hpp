@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -32,8 +33,9 @@ enum class Solver {
   kBlocker,    ///< Algorithm 3 APSP (Thm I.2/I.3)
   kScaled,     ///< multiplexed per-source Algorithm 2 (Sec. II-C)
   kApprox,     ///< (1+eps)-approx APSP (Thm I.5); distance-only oracle
-  kReference,  ///< sequential Dijkstra sweep -- not a CONGEST run; the fast
-               ///< local builder for serving large graphs and for tests
+  kReference,  ///< Dijkstra from every source -- not a CONGEST run; the
+               ///< fast local builder for serving large graphs and for
+               ///< tests (see fill_reference_rows)
 };
 
 const char* solver_name(Solver s);
@@ -145,17 +147,26 @@ DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
                            OracleMeta meta);
 
-/// Fills next_row[v] (first hop s -> v) for one source from its distance and
-/// parent rows; `next_row` must hold n entries initialized to kNoNode.  This
-/// is the per-source routine make_oracle runs for every row, exposed so the
-/// sharded serving tier (serve/sharded_oracle.*) can fill shard rows
-/// directly -- bit-identical to the flat construction -- without ever
-/// materializing the full matrix.  Throws std::logic_error on parent chains
-/// that cycle or fail to reach their source.
-void next_hops_from_parents(NodeId s, NodeId n,
-                            std::span<const Weight> dist_row,
-                            std::span<const NodeId> parent_row,
-                            NodeId* next_row);
+/// Solver label of every kReference closure, flat or sharded.
+inline constexpr char kReferenceLabel[] = "reference (Dijkstra sweep)";
+
+/// Where the reference builder writes one source's rows: n distances and n
+/// next hops, in the closure's own storage.
+struct RowSlot {
+  Weight* dist;
+  NodeId* next;
+};
+
+/// The reference closure builder shared by build_oracle(kReference) and
+/// serve::build_sharded_oracle(kReference): runs seq::dijkstra_row for
+/// every source, in source order on the calling thread with one reused
+/// workspace, and writes source s's rows into slot(s).  The rows are
+/// bit-identical to make_oracle over seq::dijkstra distances and parents.
+/// The loop does not use the thread pool, so a build's cost does not
+/// depend on how many cores are free (docs/PERF.md, "Reference closure
+/// build").
+void fill_reference_rows(const graph::Graph& g,
+                         const std::function<RowSlot(NodeId)>& slot);
 
 /// Same, deriving next hops from the distance matrix over g's arcs: the
 /// first hop toward v is the out-neighbor w with w(u,w) + dist(w,v) =

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <exception>
 
 #ifdef __linux__
 #include <pthread.h>
@@ -17,7 +18,24 @@ struct ThreadPool::Batch {
   std::atomic<std::size_t> cursor{0};
   std::size_t chunk = 1;
   std::size_t finished_workers = 0;  // guarded by pool mutex
+  std::exception_ptr error;          // first throw, guarded by pool mutex
 };
+
+void ThreadPool::run_chunks(Batch& batch) noexcept {
+  try {
+    while (true) {
+      const std::size_t start = batch.cursor.fetch_add(batch.chunk);
+      if (start >= batch.n) break;
+      const std::size_t end = std::min(batch.n, start + batch.chunk);
+      for (std::size_t i = start; i < end; ++i) batch.fn(batch.ctx, i);
+    }
+  } catch (...) {
+    // Hand out no more chunks; the caller rethrows once the batch drains.
+    batch.cursor.store(batch.n);
+    std::lock_guard lock(mutex_);
+    if (!batch.error) batch.error = std::current_exception();
+  }
+}
 
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
@@ -94,17 +112,13 @@ void ThreadPool::parallel_for_raw(std::size_t n, void* ctx, RawFn fn) {
   }
   work_cv_.notify_all();
 
-  // The caller works too.
-  while (true) {
-    const std::size_t start = batch.cursor.fetch_add(batch.chunk);
-    if (start >= n) break;
-    const std::size_t end = std::min(n, start + batch.chunk);
-    for (std::size_t i = start; i < end; ++i) fn(ctx, i);
-  }
-
+  // The caller works too.  Workers hold &batch until they check out, so
+  // even a failed batch is waited for before its frame unwinds.
+  run_chunks(batch);
   std::unique_lock lock(mutex_);
   done_cv_.wait(lock, [&] { return batch.finished_workers == workers_.size(); });
   batch_ = nullptr;
+  if (batch.error) std::rethrow_exception(batch.error);
 }
 
 void ThreadPool::worker_loop() {
@@ -118,12 +132,7 @@ void ThreadPool::worker_loop() {
       seen = generation_;
       batch = batch_;
     }
-    while (true) {
-      const std::size_t start = batch->cursor.fetch_add(batch->chunk);
-      if (start >= batch->n) break;
-      const std::size_t end = std::min(batch->n, start + batch->chunk);
-      for (std::size_t i = start; i < end; ++i) batch->fn(batch->ctx, i);
-    }
+    run_chunks(*batch);
     {
       std::lock_guard lock(mutex_);
       ++batch->finished_workers;

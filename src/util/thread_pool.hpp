@@ -44,6 +44,10 @@ class ThreadPool {
   /// a time, and a caller that finds them busy executes its batch inline on
   /// its own thread instead of blocking (concurrent submitters are already
   /// parallel with each other).
+  ///
+  /// If fn throws, on any thread, no further chunks are handed out; once
+  /// every worker has left the batch the first exception is rethrown on the
+  /// caller, and the pool stays usable.
   template <typename F>
   void parallel_for(std::size_t n, F&& fn) {
     using Fn = std::remove_reference_t<F>;
@@ -68,6 +72,9 @@ class ThreadPool {
  private:
   struct Batch;
   void worker_loop();
+  /// Claims and runs chunks of `batch` until none are left; records the
+  /// first exception in the batch instead of letting it escape.
+  void run_chunks(Batch& batch) noexcept;
 
   std::vector<std::thread> workers_;
   std::mutex submit_mutex_;  // held by the batch currently owning the workers

@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "util/int_math.hpp"
@@ -222,6 +226,93 @@ TEST(ThreadPool, ConcurrentSubmittersAllComplete) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(sum.load(),
             static_cast<std::uint64_t>(kSubmitters) * kRounds * (64 * 63 / 2));
+}
+
+// Exception paths, on every pool size: 1 runs each batch inline, the others
+// split it between the caller and 1..7 workers.
+const std::size_t kPoolSizes[] = {1, 2, 4, 8};
+constexpr std::size_t kBatch = 4096;
+
+/// Holds the calling index until `flag` is set (bounded, so a scheduling
+/// surprise fails an expectation instead of hanging the suite).
+void wait_for(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+/// The pool must run the next batch in full after a failed one.
+void expect_next_batch_runs(ThreadPool& pool) {
+  std::vector<std::atomic<int>> hits(kBatch);
+  pool.parallel_for(kBatch, [&](std::size_t i) { hits[i]++; });
+  for (const auto& h : hits) ASSERT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, WorkerExceptionReachesCaller) {
+  for (const std::size_t k : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(k));
+    ThreadPool pool(k);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+    // The caller holds its first index until a worker has thrown, so the
+    // workers claim chunks and the throw happens off the calling thread.
+    EXPECT_THROW(pool.parallel_for(kBatch,
+                                   [&](std::size_t) {
+                                     if (k == 1 ||
+                                         std::this_thread::get_id() != caller) {
+                                       thrown = true;
+                                       throw std::runtime_error("worker");
+                                     }
+                                     wait_for(thrown);
+                                   }),
+                 std::runtime_error);
+    EXPECT_TRUE(thrown.load());
+    expect_next_batch_runs(pool);
+  }
+}
+
+TEST(ThreadPool, CallerExceptionWaitsForWorkersThenRethrows) {
+  for (const std::size_t k : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(k));
+    ThreadPool pool(k);
+    const auto caller = std::this_thread::get_id();
+    std::atomic<bool> thrown{false};
+    // Workers hold their first index until the caller has thrown in its
+    // first chunk, so the batch still has workers inside it when the
+    // caller's exception starts to unwind; the pool must wait for them
+    // before handing the exception back.
+    try {
+      pool.parallel_for(kBatch, [&](std::size_t) {
+        if (std::this_thread::get_id() == caller) {
+          thrown = true;
+          throw std::runtime_error("caller");
+        }
+        wait_for(thrown);
+      });
+      ADD_FAILURE() << "parallel_for returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "caller");
+    }
+    expect_next_batch_runs(pool);
+  }
+}
+
+TEST(ThreadPool, ManyThrowersRethrowOne) {
+  for (const std::size_t k : kPoolSizes) {
+    SCOPED_TRACE("threads=" + std::to_string(k));
+    ThreadPool pool(k);
+    for (int round = 0; round < 20; ++round) {
+      EXPECT_THROW(pool.parallel_for(
+                       kBatch,
+                       [](std::size_t i) {
+                         throw std::out_of_range(std::to_string(i));
+                       }),
+                   std::out_of_range);
+    }
+    expect_next_batch_runs(pool);
+  }
 }
 
 }  // namespace
