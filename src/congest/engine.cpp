@@ -590,26 +590,6 @@ void Engine::gather_inbox_wire(NodeId v) {
   }
 }
 
-/// Replays this round's messages into the trace sink in the dense engine's
-/// deterministic order: sender ascending, links in first-touch order, and
-/// send order within a link.
-void Engine::trace_messages() {
-  if (msg_scratch_.empty()) msg_scratch_.resize(1);
-  Message& m = msg_scratch_[0];
-  for (const NodeId sender : touched_senders_) {
-    const Outbox& ob = out_[sender];
-    const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
-    for (const std::uint32_t slot : ob.touched) {
-      const std::uint32_t off = link_off_[slot];
-      const std::uint32_t cnt = link_cnt_[slot];
-      for (std::uint32_t j = 0; j < cnt; ++j) {
-        src.materialize(off + j, m);
-        options_.trace->on_message(round_, sender, link_target_[slot], m);
-      }
-    }
-  }
-}
-
 Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
   const NodeId n = graph_.node_count();
 
@@ -714,7 +694,6 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
   if (options_.record_per_round) {
     stats_.per_round_messages.push_back(round_messages_);
   }
-  if (options_.trace != nullptr) trace_messages();
   if (trace_event_ != nullptr) {
     trace_event_->messages = round_messages_;
     trace_event_->senders =

@@ -143,45 +143,6 @@ class Protocol {
   virtual Round next_send_round(Round now) const { return now + 1; }
 };
 
-/// Observer invoked once per delivered message (during a single-threaded
-/// accounting pass in deterministic (sender, send order) order, so
-/// implementations need no locking).  For debugging, visualization, and the
-/// message-wave benches.
-class TraceSink {
- public:
-  virtual ~TraceSink() = default;
-  virtual void on_message(Round round, NodeId from, NodeId to,
-                          const Message& msg) = 0;
-};
-
-/// Ready-made sink: keeps up to `limit` events in memory.
-class MessageLog final : public TraceSink {
- public:
-  struct Event {
-    Round round;
-    NodeId from;
-    NodeId to;
-    Message msg;
-  };
-
-  explicit MessageLog(std::size_t limit = 100000) : limit_(limit) {}
-
-  void on_message(Round round, NodeId from, NodeId to,
-                  const Message& msg) override {
-    if (events_.size() < limit_) events_.push_back({round, from, to, msg});
-    ++total_;
-  }
-
-  const std::vector<Event>& events() const { return events_; }
-  std::uint64_t total() const { return total_; }
-  bool truncated() const { return total_ > events_.size(); }
-
- private:
-  std::size_t limit_;
-  std::vector<Event> events_;
-  std::uint64_t total_ = 0;
-};
-
 struct EngineOptions {
   Round max_rounds = 1'000'000;
   bool stop_on_quiescence = true;
@@ -199,8 +160,6 @@ struct EngineOptions {
   /// (Linux-only; a no-op elsewhere).  Pure scheduling hint: results are
   /// bit-identical with pinning on or off.
   bool pin_threads = false;
-  /// Optional message observer (not owned; must outlive the engine).
-  TraceSink* trace = nullptr;
   /// Optional per-round trace recorder (not owned; must outlive the
   /// engine).  Receives one event per executed round -- message count,
   /// top-K link congestion, phase wall-clock -- and one event per
@@ -352,7 +311,6 @@ class Engine {
   /// last_tick_) a steady-state round reads the clock 3 times instead of 6.
   ClockTp deliver(DeliverScope scope, ClockTp t_start);
   void gather_inbox(NodeId v);
-  void trace_messages();
   /// Remote-plane round path (see congest/plane.hpp): serialize the
   /// finalized senders into the canonical block / rebuild the receive side
   /// from the authoritative bytes the plane returned.
@@ -433,7 +391,7 @@ class Engine {
   std::vector<NodeId> touched_senders_;      // senders with messages, per round
   std::uint64_t round_messages_ = 0;         // messages this round
   std::vector<Message> msg_scratch_;         // materialized view for
-                                             // faults/trace consumers
+                                             // the fault plan
 
   // Remote-plane scratch (sized only when plane_remote_): the encoded round
   // out-block and the decoded receive side -- per-link counts/offsets into

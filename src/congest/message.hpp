@@ -112,7 +112,7 @@ class MessageColumns {
   }
 
   /// Reconstructs message i in full, zero-padding the unused tail (for
-  /// consumers that need a whole Message: the fault plane, trace sinks).
+  /// consumers that need a whole Message: the fault plane).
   void materialize(std::size_t i, Message& out) const noexcept {
     const std::uint32_t w = used(i);
     out.tag = tags_[i];

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
+#include <span>
 
 #include "core/bounds.hpp"
 #include "util/int_math.hpp"
@@ -36,12 +37,13 @@ struct SharedConfig {
   std::vector<std::int32_t> source_index;  // node -> index in sources, or -1
 };
 
-/// One list entry Z (Table II of the paper).
+/// One list entry Z (Table II of the paper).  The key is kept as flat
+/// (d, l) fields so that an entry packs into 32 bytes; Z's flag-d* lives in
+/// its record in the per-source index (SourceRec).
 struct Entry {
-  Key key;                  // (d, l)
+  Weight d = 0;             // key (d, l)
+  std::uint32_t l = 0;
   NodeId source = 0;        // x
-  NodeId parent = kNoNode;  // sender that delivered the underlying path
-  bool sp = false;          // flag-d*
   std::uint64_t ck = 0;     // cached ceil(kappa); send round = ck + pos
   /// Schedule value (ck + pos) at the last firing; 0 = never fired.  An
   /// entry is due when its current schedule is <= the round and differs
@@ -49,7 +51,21 @@ struct Entry {
   /// schedule already passed, and the literal "fire on equality" rule would
   /// silently drop it (observed on directed zero-weight graphs).
   std::uint64_t fired_sched = 0;
+
+  Key key() const { return Key{d, l}; }
 };
+static_assert(sizeof(Entry) == 32);
+
+/// An entry's record in its source's group of the per-source index: the
+/// key again, plus flag-d*.
+struct SourceRec {
+  Weight d = 0;
+  std::uint32_t l = 0;
+  bool sp = false;
+
+  Key key() const { return Key{d, l}; }
+};
+static_assert(sizeof(SourceRec) == 16);
 
 class PipelinedProtocol final : public Protocol {
  public:
@@ -60,6 +76,7 @@ class PipelinedProtocol final : public Protocol {
     best_l_.assign(k, 0);
     best_p_.assign(k, kNoNode);
     sends_per_source_.assign(k, 0);
+    off_.assign(k + 1, 0);
     // Incoming arc weights keyed by sender (directed graphs: a neighbor may
     // be connected only by an outgoing arc, in which case its messages do
     // not extend any path into this node).
@@ -80,12 +97,9 @@ class PipelinedProtocol final : public Protocol {
       best_d_[si] = 0;
       best_l_[si] = 0;
       best_p_[si] = kNoNode;
-      Entry z;
-      z.key = Key{0, 0};
-      z.source = self_;
-      z.sp = true;
-      z.ck = cfg_.kernel.ceil_kappa(z.key);
-      list_.push_back(z);
+      list_.push_back(
+          Entry{0, 0, self_, cfg_.kernel.ceil_kappa(Key{0, 0}), 0});
+      insert_rec(si, 0, SourceRec{0, 0, true});
     }
   }
 
@@ -155,16 +169,15 @@ class PipelinedProtocol final : public Protocol {
   void fire(Context& ctx, std::size_t idx, std::uint64_t sched) {
     Entry& z = list_[idx];
     z.fired_sched = sched;
-    const std::int32_t si = cfg_.source_index[z.source];
-    if (si >= 0) ++sends_per_source_[static_cast<std::size_t>(si)];
-    // Z.nu: entries for Z's source at or below Z.
-    std::int64_t nu = 0;
-    for (std::size_t i = 0; i <= idx; ++i) {
-      if (list_[i].source == z.source) ++nu;
-    }
+    const auto si = static_cast<std::size_t>(cfg_.source_index[z.source]);
+    ++sends_per_source_[si];
+    // Z.nu: entries for Z's source at or below Z, i.e. Z's rank in its group.
+    const std::size_t rank = group_rank(idx, si);
+    const bool sp = recs_[off_[si] + rank].sp;
     ctx.broadcast(Message(kTagEntry, {static_cast<std::int64_t>(z.source),
-                                      z.key.d, z.key.l, nu,
-                                      z.sp ? 1 : 0}));
+                                      z.d, z.l,
+                                      static_cast<std::int64_t>(rank + 1),
+                                      sp ? 1 : 0}));
     ++sends_;
   }
 
@@ -193,64 +206,55 @@ class PipelinedProtocol final : public Protocol {
     pck_.resize(pkeys_.size());
     cfg_.kernel.ceil_kappa_span(pkeys_, pck_);
 
+    // Every rule below concerns only entries for the arriving entry's own
+    // source, so each one reads that source's group of the index, never
+    // the whole list.
     for (std::size_t pi = 0; pi < pending_.size(); ++pi) {
       const Pending& pd = pending_[pi];
-      const NodeId x = pd.source;
-      const Weight d = pkeys_[pi].d;
-      const std::uint32_t l = pkeys_[pi].l;
-      const std::uint64_t nu = pd.nu;
-
-      Entry z;
-      z.key = pkeys_[pi];
-      z.source = x;
-      z.parent = pd.from;
-      z.ck = pck_[pi];
-
+      const Key key = pkeys_[pi];
       const auto si = static_cast<std::size_t>(pd.sidx);
-      if (d == best_d_[si] && l == best_l_[si] && pd.from < best_p_[si]) {
-        // Step 9's parent tie-break: same (d, l), smaller sender id.  The
-        // key is identical to the current SP entry's, so update the parent
-        // in place instead of inserting a twin.
+      if (key.d == best_d_[si] && key.l == best_l_[si] &&
+          pd.from < best_p_[si]) {
+        // Step 9's parent tie-break: same (d, l) as the current SP entry,
+        // smaller sender id.  Only the parent changes; the list already
+        // holds this key.
         best_p_[si] = pd.from;
         settle_round_ = ctx.round();
-        for (Entry& e : list_) {
-          if (e.source == x && e.sp) e.parent = pd.from;
-        }
         continue;
       }
       // An entry dominated by existing information (some entry with both
       // distance and hops no worse) can never improve any downstream h-hop
       // distance; dropping it is always delivery-safe and keeps duplicate
       // churn from evicting hop-efficient entries.
-      if (cfg_.policy == ListPolicy::kDominance && dominated(z)) continue;
+      if (cfg_.policy == ListPolicy::kDominance && dominated(si, key)) {
+        continue;
+      }
+      const Entry z{key.d, key.l, pd.source, pck_[pi], 0};
       const bool better =
-          d < best_d_[si] || (d == best_d_[si] && l < best_l_[si]);
+          key.d < best_d_[si] || (key.d == best_d_[si] && key.l < best_l_[si]);
       if (better) {
-        best_d_[si] = d;
-        best_l_[si] = l;
+        best_d_[si] = key.d;
+        best_l_[si] = key.l;
         best_p_[si] = pd.from;
         settle_round_ = ctx.round();
-        z.sp = true;
-        const std::size_t at = insert_entry(z);
-        for (std::size_t i = 0; i < list_.size(); ++i) {
-          if (i != at && list_[i].source == x && list_[i].sp) {
-            list_[i].sp = false;
-          }
-        }
+        // Z becomes the only SP entry for its source.  The old one keeps
+        // its flag through INSERT's removal step (DESIGN.md note 2).
+        const std::size_t at = insert_entry(z, si, /*sp=*/true);
+        for (SourceRec& r : group(si)) r.sp = false;
+        recs_[off_[si] + at].sp = true;
       } else {
         // Step 13: insert the non-SP entry only if fewer than nu entries for
         // x have key <= Z's key (Observation II.4's accounting; the counts
         // are load-bearing for Lemma II.6's position argument).  The literal
         // policy compares with strict <, as printed in the paper.
         std::uint64_t gate_count = 0;
-        for (const Entry& e : list_) {
-          if (e.source != x) continue;
-          const int c = cfg_.kernel.compare(e.key, z.key);
+        for (const SourceRec& r : group(si)) {
+          const int c = cfg_.kernel.compare(r.key(), key);
           if (c < 0 || (c == 0 && cfg_.policy == ListPolicy::kDominance)) {
             ++gate_count;
           }
         }
-        if (gate_count < nu) insert_entry(z);
+        if (gate_count < pd.nu) insert_entry(z, si, /*sp=*/false);
       }
     }
   }
@@ -264,16 +268,48 @@ class PipelinedProtocol final : public Protocol {
     return it->second;
   }
 
-  /// True if some listed entry for z.source matches or beats z in both
-  /// distance and hops.
-  bool dominated(const Entry& z) const {
-    return std::any_of(list_.begin(), list_.end(), [&](const Entry& e) {
-      return e.source == z.source && e.key.d <= z.key.d && e.key.l <= z.key.l;
+  /// Source si's records, in list order.
+  std::span<SourceRec> group(std::size_t si) {
+    return {recs_.data() + off_[si], off_[si + 1] - off_[si]};
+  }
+  std::span<const SourceRec> group(std::size_t si) const {
+    return {recs_.data() + off_[si], off_[si + 1] - off_[si]};
+  }
+
+  /// Places r at offset g of source si's group.
+  void insert_rec(std::size_t si, std::size_t g, const SourceRec& r) {
+    recs_.insert(recs_.begin() + static_cast<std::ptrdiff_t>(off_[si] + g), r);
+    for (std::size_t j = si + 1; j < off_.size(); ++j) ++off_[j];
+  }
+
+  /// Offset of list_[idx] in its group (si).  The records before it are the
+  /// ones that precede it in list order; entries with an identical key (the
+  /// literal policy admits such twins) sit next to each other in the list
+  /// and in the group, so the list neighbours tell them apart.
+  std::size_t group_rank(std::size_t idx, std::size_t si) const {
+    const Entry& z = list_[idx];
+    const std::span<const SourceRec> grp = group(si);
+    std::size_t rank = 0;
+    while (grp[rank].d != z.d || grp[rank].l != z.l) ++rank;
+    for (std::size_t i = idx; i > 0; --i) {
+      const Entry& e = list_[i - 1];
+      if (e.source != z.source || e.d != z.d || e.l != z.l) break;
+      ++rank;
+    }
+    return rank;
+  }
+
+  /// True if some listed entry for source si matches or beats `key` in
+  /// both distance and hops.
+  bool dominated(std::size_t si, const Key& key) const {
+    const std::span<const SourceRec> grp = group(si);
+    return std::any_of(grp.begin(), grp.end(), [&](const SourceRec& r) {
+      return r.d <= key.d && r.l <= key.l;
     });
   }
 
-  /// INSERT procedure; returns the index Z landed at (stable under the
-  /// removal step, which only erases above it).
+  /// INSERT procedure; returns the offset of Z's record in its group
+  /// (stable under the removal step, which only drops records above it).
   ///
   /// Deviation from the conference listing (documented in DESIGN.md): the
   /// removal step drops entries for x that Z *dominates* (distance and hops
@@ -282,43 +318,86 @@ class PipelinedProtocol final : public Protocol {
   /// fewer-hops path is the only way some h-hop shortest distance reaches a
   /// later node; dominance-based removal is delivery-safe by construction
   /// and the Lemma II.14 round bound is asserted by tests/benches instead.
-  std::size_t insert_entry(const Entry& z) {
-    // Position by (kappa, d, x); equal keys keep insertion order stable.
+  std::size_t insert_entry(const Entry& z, std::size_t si, bool sp) {
+    // Position by (kappa, d, x); Z lands before any entry equal to it.
+    const auto less = [&](const Key& a, NodeId xa, const Key& b, NodeId xb) {
+      return list_order(a, xa, b, xb, cfg_.kernel) < 0;
+    };
     auto it = std::lower_bound(
         list_.begin(), list_.end(), z, [&](const Entry& a, const Entry& b) {
-          return list_order(a.key, a.source, b.key, b.source, cfg_.kernel) < 0;
+          return less(a.key(), a.source, b.key(), b.source);
         });
     it = list_.insert(it, z);
     const auto pos = static_cast<std::size_t>(it - list_.begin());
     scan_floor_ = std::min(scan_floor_, pos);
 
-    if (cfg_.policy == ListPolicy::kDominance) {
-      // Remove every non-SP entry for x that Z dominates (all sit at or
-      // above Z's key, so positions below Z are untouched).
-      for (std::size_t i = list_.size(); i-- > pos + 1;) {
-        if (list_[i].source == z.source && z.key.d <= list_[i].key.d &&
-            z.key.l <= list_[i].key.l && !list_[i].sp) {
-          list_.erase(list_.begin() + static_cast<std::ptrdiff_t>(i));
-        }
-      }
-    } else {
-      // Literal INSERT steps 2-4: drop the closest non-SP entry for x above
-      // Z, whatever it holds.
-      for (std::size_t i = pos + 1; i < list_.size(); ++i) {
-        if (list_[i].source == z.source && !list_[i].sp) {
-          list_.erase(list_.begin() + static_cast<std::ptrdiff_t>(i));
-          break;
-        }
-      }
-    }
+    // Z's record goes to the same place in its group: after the records of
+    // the same-source entries below pos, which are those ordered before Z.
+    const std::span<const SourceRec> grp = group(si);
+    const auto g = static_cast<std::size_t>(
+        std::partition_point(grp.begin(), grp.end(),
+                             [&](const SourceRec& r) {
+                               return less(r.key(), z.source, z.key(),
+                                           z.source);
+                             }) -
+        grp.begin());
+    insert_rec(si, g, SourceRec{z.d, z.l, sp});
+    remove_above(z, si, g, pos);
 
     max_list_ = std::max(max_list_, static_cast<std::uint64_t>(list_.size()));
-    std::uint64_t cnt = 0;
-    for (const Entry& e : list_) {
-      if (e.source == z.source) ++cnt;
+    max_per_source_ =
+        std::max(max_per_source_, std::uint64_t{off_[si + 1] - off_[si]});
+    return g;
+  }
+
+  /// INSERT's removal step for Z (record g of group si, list position pos).
+  /// kDominance removes every non-SP entry for x that Z dominates (all sit
+  /// at or above Z's key, so positions below Z are untouched); kLiteral
+  /// (INSERT steps 2-4) removes the closest non-SP entry for x above Z,
+  /// whatever it holds.  The group decides; the list and the group then
+  /// drop the chosen entries in one compaction pass, whose same-source
+  /// entries above pos match the group's records above g one for one.
+  void remove_above(const Entry& z, std::size_t si, std::size_t g,
+                    std::size_t pos) {
+    const bool literal = cfg_.policy == ListPolicy::kLiteral;
+    const std::span<SourceRec> grp = group(si);
+    const auto drops = [&](const SourceRec& r) {
+      return !r.sp && (literal || (z.d <= r.d && z.l <= r.l));
+    };
+    std::size_t first = g + 1;
+    while (first < grp.size() && !drops(grp[first])) ++first;
+    if (first == grp.size()) return;
+
+    // Skip to the list entry of record `first`, then compact the list and
+    // the group together from there.
+    std::size_t i = pos + 1;
+    for (std::size_t r = g + 1;; ++i) {
+      if (list_[i].source == z.source && r++ == first) break;
     }
-    max_per_source_ = std::max(max_per_source_, cnt);
-    return pos;
+    std::size_t w = i;       // list write cursor
+    std::size_t wr = first;  // group write cursor
+    for (std::size_t r = first; r < grp.size(); ++i) {
+      if (list_[i].source == z.source) {
+        const bool drop = literal ? r == first : drops(grp[r]);
+        if (drop) {
+          ++r;
+          continue;
+        }
+        grp[wr++] = grp[r++];
+      }
+      list_[w++] = list_[i];
+    }
+    list_.erase(std::move(list_.begin() + static_cast<std::ptrdiff_t>(i),
+                          list_.end(),
+                          list_.begin() + static_cast<std::ptrdiff_t>(w)),
+                list_.end());
+    const std::size_t removed = grp.size() - wr;
+    const auto gbegin = recs_.begin() + static_cast<std::ptrdiff_t>(off_[si]);
+    recs_.erase(gbegin + static_cast<std::ptrdiff_t>(wr),
+                gbegin + static_cast<std::ptrdiff_t>(grp.size()));
+    for (std::size_t j = si + 1; j < off_.size(); ++j) {
+      off_[j] -= static_cast<std::uint32_t>(removed);
+    }
   }
 
   /// One inbox envelope that survived the cheap filters, staged so the
@@ -333,7 +412,13 @@ class PipelinedProtocol final : public Protocol {
 
   const SharedConfig& cfg_;
   NodeId self_;
+  /// The kappa-sorted list; an entry's position is its send schedule.
   std::vector<Entry> list_;
+  /// Per-source index over list_: source i's entries are recs_[off_[i],
+  /// off_[i+1]), in list order.  Lemma II.11 caps a group at h/gamma + 1
+  /// entries while the list holds all k sources.
+  std::vector<SourceRec> recs_;
+  std::vector<std::uint32_t> off_;      // k+1 group offsets into recs_
   std::vector<Pending> pending_;        // per-round scratch, grow-only
   std::vector<Key> pkeys_;              // keys of pending_ (same order)
   std::vector<std::uint64_t> pck_;      // batched ceil_kappa of pkeys_

@@ -69,9 +69,12 @@ struct KsspResult {
   /// Measured Invariant-2 quantities.
   std::uint64_t max_entries_per_source = 0;
   std::uint64_t max_list_size = 0;
-  /// Sends that fired after their scheduled round (the Invariant-1 schedule
-  /// was missed and caught up).  0 in every sweep we have run; kept as a
-  /// visible canary.
+  /// Sends that fired after their scheduled round ceil(kappa)+pos, caught
+  /// up by firing the earliest past-due entry (DESIGN.md note 4).  Nonzero
+  /// in practice: removing dominated entries below an entry moves it to a
+  /// lower position, which pulls its schedule earlier, past the current
+  /// round.  The perfbench canary (ER n=64 APSP) has 2,491; the golden
+  /// cases in pipelined_test pin the exact count per run.
   std::uint64_t late_fires = 0;
   std::uint64_t total_sends = 0;
   /// Largest number of messages any node emitted for one source (per-source

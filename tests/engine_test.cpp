@@ -242,37 +242,6 @@ TEST(Engine, PerRoundRecording) {
   EXPECT_EQ(sum, stats.total_messages);
 }
 
-TEST(Engine, TraceSinkSeesEveryMessage) {
-  const Graph g = graph::star(5, {1, 1, 0.0}, 62);
-  MessageLog log;
-  EngineOptions opt;
-  opt.trace = &log;
-  Engine engine(g, make_flood(g), opt);
-  const RunStats stats = engine.run();
-  EXPECT_EQ(log.total(), stats.total_messages);
-  EXPECT_FALSE(log.truncated());
-  // First event: center (0) flooding in round 0.
-  ASSERT_FALSE(log.events().empty());
-  EXPECT_EQ(log.events()[0].round, 0u);
-  EXPECT_EQ(log.events()[0].from, 0u);
-  for (const auto& e : log.events()) {
-    EXPECT_EQ(e.msg.tag, kPing);
-    EXPECT_NE(e.from, e.to);
-  }
-}
-
-TEST(Engine, TraceLogHonorsLimit) {
-  const Graph g = graph::grid(4, 4, {1, 1, 0.0}, 63);
-  MessageLog log(3);
-  EngineOptions opt;
-  opt.trace = &log;
-  Engine engine(g, make_flood(g), opt);
-  engine.run();
-  EXPECT_EQ(log.events().size(), 3u);
-  EXPECT_TRUE(log.truncated());
-  EXPECT_GT(log.total(), 3u);
-}
-
 TEST(RunStats, SummaryMentionsKeyNumbers) {
   RunStats s;
   s.rounds = 12;
