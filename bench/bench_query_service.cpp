@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "graph/generators.hpp"
-#include "serve/sharded_oracle.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "serve/wire.hpp"
 #include "service/query_service.hpp"
@@ -177,7 +176,7 @@ void BM_ServeSustainedQPS(benchmark::State& state) {
 
   QueryServiceConfig cfg;
   cfg.threads = 2;
-  QueryService svc(serve::build_sharded_oracle(ga, kRefBuild, 4), cfg);
+  QueryService svc(service::build_oracle(ga, kRefBuild, 4), cfg);
   serve::SnapshotManager manager(svc, ga, kRefBuild, 4);
 
   const auto batch = random_queries(QueryType::kDist, 4096, 4096, 11);
@@ -241,7 +240,7 @@ void BM_ServeAnalyticsUnderRebuild(benchmark::State& state) {
 
   QueryServiceConfig cfg;
   cfg.threads = 2;
-  QueryService svc(serve::build_sharded_oracle(*g, kRefBuild, 4), cfg);
+  QueryService svc(service::build_oracle(*g, kRefBuild, 4), cfg);
   svc.enable_analytics(g);
   serve::SnapshotManager manager(svc, *g, kRefBuild, 4);
 

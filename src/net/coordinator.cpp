@@ -435,8 +435,8 @@ DistanceOracle socket_build_oracle(const graph::Graph& g,
   }
 
   const std::size_t cells = static_cast<std::size_t>(n) * n;
-  std::vector<graph::Weight> dist(cells, 0);
-  std::vector<NodeId> next(has_next ? cells : 0, graph::kNoNode);
+  service::Table<graph::Weight> dist(cells, 0);
+  service::Table<NodeId> next(has_next ? cells : 0, graph::kNoNode);
   const std::size_t row_bytes = static_cast<std::size_t>(n) * 8 +
                                 (has_next ? static_cast<std::size_t>(n) * 4
                                           : 0);
@@ -523,8 +523,7 @@ DistanceOracle socket_build_oracle(const graph::Graph& g,
   fleet.reap(5000);
 
   if (report != nullptr) *report = rep;
-  return service::make_oracle_from_rows(n, std::move(dist), std::move(next),
-                                        std::move(meta));
+  return DistanceOracle(n, std::move(dist), std::move(next), std::move(meta));
 }
 
 }  // namespace dapsp::net

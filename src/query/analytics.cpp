@@ -13,7 +13,7 @@ using graph::Edge;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
-using service::OracleSnapshot;
+using service::DistanceOracle;
 
 Analytics::Analytics(std::shared_ptr<const Graph> g) : g_(std::move(g)) {}
 
@@ -59,7 +59,7 @@ struct RouteLess {
 // --- constrained routes ----------------------------------------------------
 
 std::optional<Route> Analytics::constrained_route(
-    const OracleSnapshot& snap, NodeId u, NodeId v,
+    const DistanceOracle& snap, NodeId u, NodeId v,
     const RouteConstraints& c) const {
   const Graph& g = *g_;
   const NodeId n = g.node_count();
@@ -93,7 +93,7 @@ std::optional<Route> Analytics::constrained_route(
 }
 
 std::optional<Route> Analytics::constrained_search(
-    const OracleSnapshot& snap, NodeId u, NodeId v,
+    const DistanceOracle& snap, NodeId u, NodeId v,
     const RouteConstraints& c) const {
   const Graph& g = *g_;
   const NodeId n = g.node_count();
@@ -200,7 +200,7 @@ std::optional<Route> Analytics::constrained_search(
 
 // --- k shortest loopless paths ---------------------------------------------
 
-std::vector<Route> Analytics::k_shortest(const OracleSnapshot& snap, NodeId u,
+std::vector<Route> Analytics::k_shortest(const DistanceOracle& snap, NodeId u,
                                          NodeId v, std::uint32_t k) const {
   const Graph& g = *g_;
   std::vector<Route> paths;
@@ -254,13 +254,12 @@ std::vector<Route> Analytics::k_shortest(const OracleSnapshot& snap, NodeId u,
 
 // --- whole-graph report ----------------------------------------------------
 
-GraphReport Analytics::report(const OracleSnapshot& snap,
+GraphReport Analytics::report(const DistanceOracle& snap,
                               util::ThreadPool& pool) const {
   const NodeId n = snap.node_count();
   GraphReport rep;
   rep.per_source.resize(n);
-  // One task per source row: on the sharded tier each row lives entirely in
-  // one shard, so the scans stream shard-locally.
+  // One task per source row; each row is contiguous in the table.
   pool.parallel_for(n, [&](std::size_t s) {
     SourceReport& row = rep.per_source[s];
     const NodeId src = static_cast<NodeId>(s);
@@ -286,7 +285,7 @@ GraphReport Analytics::report(const OracleSnapshot& snap,
 
 // --- betweenness centrality ------------------------------------------------
 
-std::vector<double> Analytics::betweenness(const OracleSnapshot& snap,
+std::vector<double> Analytics::betweenness(const DistanceOracle& snap,
                                            std::uint32_t samples,
                                            util::ThreadPool& pool) const {
   const Graph& g = *g_;

@@ -15,8 +15,7 @@
 //                       unconstrained can never appear on a feasible route).
 //  * report          -- eccentricity / radius / diameter / farness from row
 //                       scans of the served dist matrix, parallelized over
-//                       the snapshot's source rows (shard-local reads on the
-//                       sharded tier).
+//                       the snapshot's source rows.
 //  * betweenness     -- Brandes accumulation over the canonical
 //                       shortest-path DAG reconstructed per source from the
 //                       served dist row: tight arcs (d[u] + w = d[v])
@@ -35,7 +34,7 @@
 #include <vector>
 
 #include "query/types.hpp"
-#include "service/snapshot.hpp"
+#include "service/oracle.hpp"
 #include "util/thread_pool.hpp"
 
 namespace dapsp::query {
@@ -49,32 +48,34 @@ class Analytics {
 
   const graph::Graph& graph() const noexcept { return *g_; }
 
-  /// Up to k shortest loopless paths source->target in route_less order.
-  /// Requires snap.has_paths().  Empty when target is unreachable.
-  std::vector<Route> k_shortest(const service::OracleSnapshot& snap, NodeId u,
+  /// Up to k shortest loopless paths source->target: the canonical path
+  /// first, then the later routes in route_less order, so weights never
+  /// decrease.  Requires snap.has_paths().  Empty when target is
+  /// unreachable.
+  std::vector<Route> k_shortest(const service::DistanceOracle& snap, NodeId u,
                                 NodeId v, std::uint32_t k) const;
 
   /// Canonical constrained shortest path, or nullopt when infeasible.
   /// Requires snap.has_paths().
-  std::optional<Route> constrained_route(const service::OracleSnapshot& snap,
+  std::optional<Route> constrained_route(const service::DistanceOracle& snap,
                                          NodeId u, NodeId v,
                                          const RouteConstraints& c) const;
 
   /// Whole-graph distance report; row scans run on `pool`.  Requires
   /// snap.exact().
-  GraphReport report(const service::OracleSnapshot& snap,
+  GraphReport report(const service::DistanceOracle& snap,
                      util::ThreadPool& pool) const;
 
   /// Betweenness centrality over betweenness_sources(n, samples).  Sources
   /// are processed in fixed-size chunks whose partial scores are reduced in
   /// chunk order, so the result is bit-identical for every thread count.
   /// Requires snap.exact() (the tight-arc test needs exact distances).
-  std::vector<double> betweenness(const service::OracleSnapshot& snap,
+  std::vector<double> betweenness(const service::DistanceOracle& snap,
                                   std::uint32_t samples,
                                   util::ThreadPool& pool) const;
 
  private:
-  std::optional<Route> constrained_search(const service::OracleSnapshot& snap,
+  std::optional<Route> constrained_search(const service::DistanceOracle& snap,
                                           NodeId u, NodeId v,
                                           const RouteConstraints& c) const;
 

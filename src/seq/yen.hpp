@@ -1,9 +1,11 @@
 // Sequential reference for k-shortest loopless paths (Yen's algorithm).
 //
-// Returns the k minimum-weight simple paths in (weight, hops, lexicographic
-// node sequence) order -- query::route_less -- with every spur path
-// computed by the canonical constrained reference (seq/constrained.hpp), so
-// the output is a deterministic function of the graph alone.  The
+// Returns the k minimum-weight simple paths: the canonical shortest path
+// first, then the later paths in (weight, hops, lexicographic node
+// sequence) order -- query::route_less -- so weights never decrease.  Every
+// spur path is computed by the canonical constrained reference
+// (seq/constrained.hpp), so the output is a deterministic function of the
+// graph alone.  The
 // closure-accelerated engine (query::Analytics::k_shortest) implements the
 // same contract and must match it path-for-path in the differential suite.
 #pragma once
@@ -16,9 +18,11 @@
 
 namespace dapsp::seq {
 
-/// Up to `k` shortest loopless paths from `source` to `target`, sorted by
-/// query::route_less; fewer (possibly zero) when the graph holds fewer
-/// distinct simple paths.  Ids must be < g.node_count().
+/// Up to `k` shortest loopless paths from `source` to `target`: the
+/// canonical path, then the rest in query::route_less order (the canonical
+/// path itself need not be the route_less minimum among equal weights);
+/// fewer (possibly zero) when the graph holds fewer distinct simple paths.
+/// Ids must be < g.node_count().
 std::vector<query::Route> k_shortest_paths(const graph::Graph& g,
                                            graph::NodeId source,
                                            graph::NodeId target,

@@ -2,9 +2,8 @@
 
 #include <chrono>
 #include <exception>
+#include <memory>
 #include <utility>
-
-#include "serve/sharded_oracle.hpp"
 
 namespace dapsp::serve {
 
@@ -98,7 +97,8 @@ void SnapshotManager::run_one_rebuild(std::uint64_t claimed_gen) {
   }
   const auto t0 = std::chrono::steady_clock::now();
   try {
-    auto snap = build_sharded_oracle(g, opts_, shards_);
+    auto snap = std::make_shared<service::DistanceOracle>(
+        service::build_oracle(g, opts_, shards_));
     const auto build_ns = static_cast<std::uint64_t>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(
             std::chrono::steady_clock::now() - t0)

@@ -2,9 +2,9 @@
 //
 // The text/JSONL protocol pays per-line tokenizing and decimal formatting on
 // every query; the binary protocol ships many (s, t) pairs per frame and
-// answers them through QueryService::query_batch (per-shard dispatch on the
-// thread pool), which is what gives batch+binary its throughput edge in
-// BENCH_QUERY.json.  Framing:
+// answers them through QueryService::query_batch (fanned out on the
+// service's thread pool), which is what gives batch+binary its throughput
+// edge in BENCH_QUERY.json.  Framing:
 //
 //   frame    := u32le payload_len | payload            (len <= kMaxFrameBytes)
 //   request  := 'D' 'Q' u8 version=1 u8 opcode | body

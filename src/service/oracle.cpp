@@ -1,7 +1,10 @@
 #include "service/oracle.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <memory>
+#include <new>
 #include <sstream>
 #include <stdexcept>
 
@@ -44,8 +47,42 @@ Solver parse_solver(const std::string& word) {
       "' (pipelined|blocker|scaled|approx|reference)");
 }
 
-std::size_t DistanceOracle::memory_bytes() const noexcept {
-  return dist_.capacity() * sizeof(Weight) + next_.capacity() * sizeof(NodeId);
+void* map_table_pages(std::size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (p == MAP_FAILED) throw std::bad_alloc();
+  return p;
+}
+
+void unmap_table_pages(void* p, std::size_t bytes) noexcept {
+  munmap(p, bytes);
+}
+
+DistanceOracle::DistanceOracle(NodeId n, Table<Weight> dist,
+                               Table<NodeId> next, OracleMeta meta,
+                               std::size_t shards)
+    : n_(n), meta_(std::move(meta)), dist_(std::move(dist)),
+      next_(std::move(next)) {
+  const std::size_t cells = static_cast<std::size_t>(n) * n;
+  util::check(n > 0, "DistanceOracle: empty oracle");
+  util::check(dist_.size() == cells, "DistanceOracle: dist table is not n*n");
+  util::check(next_.empty() || next_.size() == cells,
+              "DistanceOracle: next table is not n*n");
+  const std::size_t s = std::clamp<std::size_t>(shards, 1, n);
+  rows_per_shard_ = static_cast<NodeId>((n + s - 1) / s);
+}
+
+ShardInfo DistanceOracle::shard_info(std::size_t shard) const noexcept {
+  const std::size_t begin = shard * rows_per_shard_;
+  const std::size_t end = std::min<std::size_t>(n_, begin + rows_per_shard_);
+  return {static_cast<NodeId>(begin), static_cast<NodeId>(end),
+          (end - begin) * row_bytes()};
+}
+
+std::vector<ShardInfo> DistanceOracle::shard_layout() const {
+  std::vector<ShardInfo> out(shard_count());
+  for (std::size_t i = 0; i < out.size(); ++i) out[i] = shard_info(i);
+  return out;
 }
 
 std::optional<std::vector<NodeId>> DistanceOracle::path(NodeId u,
@@ -71,17 +108,17 @@ std::optional<std::vector<NodeId>> DistanceOracle::path(NodeId u,
 
 namespace {
 
-void check_square(const std::vector<std::vector<Weight>>& dist) {
-  const std::size_t n = dist.size();
-  util::check(n > 0, "make_oracle: empty distance matrix");
-  for (const auto& row : dist) {
-    util::check(row.size() == n, "make_oracle: distance matrix not square");
-  }
+/// Every row of `m` holds n entries.
+template <typename T>
+void check_square(const std::vector<std::vector<T>>& m, std::size_t n,
+                  const char* what) {
+  util::check(m.size() == n, what);
+  for (const auto& row : m) util::check(row.size() == n, what);
 }
 
-std::vector<Weight> flatten(const std::vector<std::vector<Weight>>& dist) {
+Table<Weight> flatten(const std::vector<std::vector<Weight>>& dist) {
   const std::size_t n = dist.size();
-  std::vector<Weight> flat;
+  Table<Weight> flat;
   flat.reserve(n * n);
   for (const auto& row : dist) flat.insert(flat.end(), row.begin(), row.end());
   return flat;
@@ -116,13 +153,85 @@ void fill_next_hops_from_parents(NodeId s, NodeId n,
   }
 }
 
+/// The next-hop table of a run that reports distances and hop counts but
+/// no parents (scaled): see build_oracle for the tie-breaks.
+Table<NodeId> next_hops_from_distances(
+    const Graph& g, const std::vector<std::vector<Weight>>& dist,
+    const std::vector<std::vector<std::uint32_t>>& hops) {
+  const NodeId n = g.node_count();
+  check_square(dist, n, "build_oracle: matrix does not match graph");
+  check_square(hops, n, "build_oracle: hops matrix shape mismatch");
+  Table<NodeId> next(static_cast<std::size_t>(n) * n, kNoNode);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      if (u == v || dist[u][v] == kInfDist) continue;
+      NodeId best = kNoNode;
+      std::uint32_t best_h = 0;
+      for (const auto& e : g.out_edges(u)) {
+        const Weight dw = dist[e.to][v];
+        if (dw == kInfDist || e.weight + dw != dist[u][v]) continue;
+        const std::uint32_t hw = hops[e.to][v];
+        if (best == kNoNode || hw < best_h || (hw == best_h && e.to < best)) {
+          best = e.to;
+          best_h = hw;
+        }
+      }
+      util::check(best != kNoNode, "build_oracle: no edge realizes dist(u,v)");
+      next[static_cast<std::size_t>(u) * n + v] = best;
+    }
+  }
+  return next;
+}
+
+/// A solver's closure before it becomes an oracle: the two row-major tables
+/// plus provenance.
+struct Tables {
+  Table<Weight> dist;
+  Table<NodeId> next;  // empty for a distance-only closure
+  OracleMeta meta;
+};
+
+/// Tables of a run that reports dist[s][v] and, unless `parent` is empty,
+/// parent[s][v]; n rows of n entries each.
+Tables tables_from_parents(const std::vector<std::vector<Weight>>& dist,
+                           const std::vector<std::vector<NodeId>>& parent,
+                           OracleMeta meta) {
+  util::check(!dist.empty(), "make_oracle: empty distance matrix");
+  const NodeId n = static_cast<NodeId>(dist.size());
+  check_square(dist, n, "make_oracle: distance matrix not square");
+  Tables t{flatten(dist), {}, std::move(meta)};
+  if (parent.empty()) return t;
+  check_square(parent, n, "make_oracle: parent matrix shape mismatch");
+  t.next.assign(static_cast<std::size_t>(n) * n, kNoNode);
+  std::vector<NodeId> stack;
+  for (NodeId s = 0; s < n; ++s) {
+    fill_next_hops_from_parents(s, n, dist[s], parent[s],
+                                t.next.data() + static_cast<std::size_t>(s) * n,
+                                stack);
+  }
+  return t;
+}
+
+/// The reference rows: seq::dijkstra_row for every source, written into
+/// row s of both n x n tables.
+void fill_reference_rows(const Graph& g, Table<Weight>& dist,
+                         Table<NodeId>& next) {
+  const NodeId n = g.node_count();
+  seq::RowWorkspace ws;
+  for (NodeId s = 0; s < n; ++s) {
+    const std::size_t off = static_cast<std::size_t>(s) * n;
+    seq::dijkstra_row(g, s, {dist.data() + off, n}, {next.data() + off, n},
+                      ws);
+  }
+}
+
 /// Fault-plan safety net for engine-backed builds: when the process-global
 /// fault plan is active, an unreachable entry in the result may mean the
 /// faults (a crashed cut vertex, unrecovered losses) severed pairs that the
 /// real graph connects -- silently serving kInfDist for them would be a
-/// wrong answer wearing an honest face.  Compare the oracle's infinite
+/// wrong answer wearing an honest face.  Compare the table's infinite
 /// entries against plain BFS reachability on g and fail loudly on mismatch.
-void check_fault_partition(const Graph& g, const DistanceOracle& o) {
+void check_fault_partition(const Graph& g, const Table<Weight>& dist) {
   const congest::FaultPlan* plan = congest::Engine::global_fault_plan();
   if (plan == nullptr || !plan->enabled()) return;
   const NodeId n = g.node_count();
@@ -141,7 +250,7 @@ void check_fault_partition(const Graph& g, const DistanceOracle& o) {
       }
     }
     for (NodeId v = 0; v < n; ++v) {
-      if (seen[v] && o.dist(s, v) == kInfDist) {
+      if (seen[v] && dist[static_cast<std::size_t>(s) * n + v] == kInfDist) {
         throw std::runtime_error(
             "build_oracle: fault plan \"" + plan->spec() +
             "\" partitioned the run: " + std::to_string(v) +
@@ -153,8 +262,7 @@ void check_fault_partition(const Graph& g, const DistanceOracle& o) {
   }
 }
 
-DistanceOracle build_oracle_impl(const Graph& g,
-                                 const OracleBuildOptions& opts);
+Tables solve(const Graph& g, const OracleBuildOptions& opts);
 
 /// Installs a work-item-recording trace recorder as the process-global
 /// recorder for the duration of one oracle build, so the engines the solver
@@ -186,139 +294,60 @@ class ScopedBuildRecorder {
 
 }  // namespace
 
-void fill_reference_rows(const Graph& g,
-                         const std::function<RowSlot(NodeId)>& slot) {
-  const NodeId n = g.node_count();
-  seq::RowWorkspace ws;
-  for (NodeId s = 0; s < n; ++s) {
-    const RowSlot row = slot(s);
-    seq::dijkstra_row(g, s, {row.dist, n}, {row.next, n}, ws);
-  }
-}
-
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
                            OracleMeta meta) {
-  check_square(dist);
-  const NodeId n = static_cast<NodeId>(dist.size());
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = flatten(dist);
-  if (!parent.empty()) {
-    util::check(parent.size() == dist.size() && parent[0].size() == dist.size(),
-                "make_oracle: parent matrix shape mismatch");
-    o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
-    std::vector<NodeId> stack;
-    for (NodeId s = 0; s < n; ++s) {
-      fill_next_hops_from_parents(s, n, dist[s], parent[s],
-                                  o.next_.data() + o.flat(s, 0), stack);
-    }
-  }
-  return o;
+  Tables t = tables_from_parents(dist, parent, std::move(meta));
+  return DistanceOracle(static_cast<NodeId>(dist.size()), std::move(t.dist),
+                        std::move(t.next), std::move(t.meta));
 }
 
-DistanceOracle make_oracle_from_distances(
-    const Graph& g, const std::vector<std::vector<Weight>>& dist,
-    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta) {
-  check_square(dist);
-  util::check(g.node_count() == dist.size(),
-              "make_oracle_from_distances: matrix does not match graph");
-  util::check(hops.size() == dist.size(),
-              "make_oracle_from_distances: hops matrix shape mismatch");
-  const NodeId n = static_cast<NodeId>(dist.size());
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = flatten(dist);
-  o.next_.assign(static_cast<std::size_t>(n) * n, kNoNode);
-  for (NodeId u = 0; u < n; ++u) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (u == v || dist[u][v] == kInfDist) continue;
-      NodeId best = kNoNode;
-      std::uint32_t best_h = 0;
-      for (const auto& e : g.out_edges(u)) {
-        const Weight dw = dist[e.to][v];
-        if (dw == kInfDist || e.weight + dw != dist[u][v]) continue;
-        const std::uint32_t hw = hops[e.to][v];
-        if (best == kNoNode || hw < best_h || (hw == best_h && e.to < best)) {
-          best = e.to;
-          best_h = hw;
-        }
-      }
-      util::check(best != kNoNode,
-                  "make_oracle_from_distances: no edge realizes dist(u,v)");
-      o.next_[o.flat(u, v)] = best;
-    }
-  }
-  return o;
-}
-
-DistanceOracle make_oracle_from_rows(NodeId n, std::vector<Weight> dist,
-                                     std::vector<NodeId> next,
-                                     OracleMeta meta) {
-  const std::size_t cells = static_cast<std::size_t>(n) * n;
-  util::check(n > 0, "make_oracle_from_rows: empty oracle");
-  util::check(dist.size() == cells,
-              "make_oracle_from_rows: dist table is not n*n");
-  util::check(next.empty() || next.size() == cells,
-              "make_oracle_from_rows: next table is not n*n");
-  DistanceOracle o;
-  o.n_ = n;
-  o.exact_ = meta.exact;
-  o.meta_ = std::move(meta);
-  o.dist_ = std::move(dist);
-  o.next_ = std::move(next);
-  return o;
-}
-
-DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts) {
+DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
+                            std::size_t shards) {
   util::check(g.node_count() > 0, "build_oracle: empty graph");
   // kReference never touches the engine: no fault plan can have bent it,
   // and there is no round structure for the profiler to observe.
   const ScopedBuildRecorder profile(opts.critpath &&
                                     opts.solver != Solver::kReference);
-  DistanceOracle o = build_oracle_impl(g, opts);
-  if (opts.solver != Solver::kReference) check_fault_partition(g, o);
+  Tables t = solve(g, opts);
+  if (opts.solver != Solver::kReference) check_fault_partition(g, t.dist);
   if (profile.recorder() != nullptr) {
-    o.meta_.critpath =
+    t.meta.critpath =
         obs::summarize(obs::analyze_critical_path(*profile.recorder()));
   }
-  return o;
+  return DistanceOracle(g.node_count(), std::move(t.dist), std::move(t.next),
+                        std::move(t.meta), shards);
 }
 
 namespace {
 
-DistanceOracle build_oracle_impl(const Graph& g,
-                                 const OracleBuildOptions& opts) {
+Tables solve(const Graph& g, const OracleBuildOptions& opts) {
   const NodeId n = g.node_count();
   switch (opts.solver) {
     case Solver::kPipelined: {
       const Weight delta = graph::max_finite_distance(g);
       auto res = core::pipelined_apsp(g, delta);
-      return make_oracle(res.dist, res.parent,
-                         {"pipelined APSP (Algorithm 1, Thm I.1 ii)", true,
-                          res.stats, {}});
+      return tables_from_parents(
+          res.dist, res.parent,
+          {"pipelined APSP (Algorithm 1, Thm I.1 ii)", true, res.stats, {}});
     }
     case Solver::kBlocker: {
       core::BlockerApspParams p;
       p.h = opts.h;
       auto res = core::blocker_apsp(g, p);
-      return make_oracle(res.dist, res.parent,
-                         {"blocker APSP (Algorithm 3, h=" +
-                              std::to_string(res.h) + ")",
-                          true, res.stats, {}});
+      return tables_from_parents(res.dist, res.parent,
+                                 {"blocker APSP (Algorithm 3, h=" +
+                                      std::to_string(res.h) + ")",
+                                  true, res.stats, {}});
     }
     case Solver::kScaled: {
       core::ScaledApspParams p;
       p.h = n > 1 ? n - 1 : 1;
       p.delta = graph::max_finite_distance(g);
       auto res = core::scaled_hhop_apsp(g, p);
-      return make_oracle_from_distances(
-          g, res.dist, res.hops,
-          {"scaled per-source APSP (Sec. II-C)", true, res.stats, {}});
+      Table<NodeId> next = next_hops_from_distances(g, res.dist, res.hops);
+      return {flatten(res.dist), std::move(next),
+              {"scaled per-source APSP (Sec. II-C)", true, res.stats, {}}};
     }
     case Solver::kApprox: {
       core::ApproxApspParams p;
@@ -327,18 +356,15 @@ DistanceOracle build_oracle_impl(const Graph& g,
       std::ostringstream label;
       label << "approx APSP (Thm I.5, eps=" << opts.eps << ", " << res.scales
             << " scales); distance-only";
-      return make_oracle(res.dist, {}, {label.str(), false, res.stats, {}});
+      return tables_from_parents(res.dist, {},
+                                 {label.str(), false, res.stats, {}});
     }
     case Solver::kReference: {
       const std::size_t cells = static_cast<std::size_t>(n) * n;
-      std::vector<Weight> dist(cells);
-      std::vector<NodeId> next(cells);
-      fill_reference_rows(g, [&](NodeId s) {
-        const std::size_t off = static_cast<std::size_t>(s) * n;
-        return RowSlot{dist.data() + off, next.data() + off};
-      });
-      return make_oracle_from_rows(n, std::move(dist), std::move(next),
-                                   {kReferenceLabel, true, {}, {}});
+      Tables t{Table<Weight>(cells), Table<NodeId>(cells),
+               {kReferenceLabel, true, {}, {}}};
+      fill_reference_rows(g, t.dist, t.next);
+      return t;
     }
   }
   throw std::logic_error("build_oracle: unhandled solver");

@@ -12,7 +12,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -21,6 +20,7 @@
 #include "congest/metrics.hpp"
 #include "graph/graph.hpp"
 #include "obs/critpath.hpp"
+#include "service/stats.hpp"
 
 namespace dapsp::service {
 
@@ -66,22 +66,81 @@ struct OracleMeta {
   obs::CritPathSummary critpath;
 };
 
+/// Pages for one closure table, mapped from the OS (std::bad_alloc when it
+/// has none), and their release.
+void* map_table_pages(std::size_t bytes);
+void unmap_table_pages(void* p, std::size_t bytes) noexcept;
+
+/// Allocator of the closure tables: whole pages from the OS, returned to it
+/// when the table is destroyed.  A serving tier retires one n x n closure
+/// per rebuild.  From the heap, a retired table would stay resident in its
+/// arena, and glibc raises its mmap threshold to the size of each freed
+/// mapped chunk, after which every smaller buffer of the process is served
+/// from the heap too and stays resident once freed.
+template <typename T>
+struct TableAllocator {
+  using value_type = T;
+  TableAllocator() = default;
+  template <typename U>
+  TableAllocator(const TableAllocator<U>&) noexcept {}
+  T* allocate(std::size_t count) {
+    return static_cast<T*>(map_table_pages(count * sizeof(T)));
+  }
+  void deallocate(T* p, std::size_t count) noexcept {
+    unmap_table_pages(p, count * sizeof(T));
+  }
+  friend bool operator==(TableAllocator, TableAllocator) noexcept {
+    return true;
+  }
+};
+
+/// One row-major n x n closure table.
+template <typename T>
+using Table = std::vector<T, TableAllocator<T>>;
+
+/// The APSP closure: one row-major n x n table of distances and one of first
+/// hops, read by every query type and every analytics family.  Shards are
+/// reported row ranges of that one table -- shard i covers source rows
+/// [i*r, min(n, (i+1)*r)) with r = ceil(n / min(S, n)) -- used for occupancy
+/// reporting only: dist and next_hop read u*n + v for every S, so answers
+/// and bytes are identical across shard counts.
+///
+/// Immutable once published, apart from the epoch the query service stamps
+/// while it still holds the only reference (see swap_snapshot).
 class DistanceOracle {
  public:
   DistanceOracle() = default;
+  /// Adopts finished row-major tables without recomputation (the builders'
+  /// and the socket coordinator's path).  `dist` holds n*n entries; `next`
+  /// holds n*n entries or is empty for a distance-only oracle.  `shards` is
+  /// clamped to [1, n].  Throws std::logic_error on size mismatch.  No
+  /// parent-chain revalidation happens here: the rows come from a builder
+  /// that already validated them, and the coordinator's digest checks
+  /// guard the transport.
+  DistanceOracle(NodeId n, Table<Weight> dist, Table<NodeId> next,
+                 OracleMeta meta, std::size_t shards = 1);
 
   NodeId node_count() const noexcept { return n_; }
   /// False when distances are (1+eps)-approximate.
-  bool exact() const noexcept { return exact_; }
+  bool exact() const noexcept { return meta_.exact; }
   /// True when a next-hop table exists (every exact solver).  Approximate
   /// distances cannot certify which edges lie on shortest paths, so the
   /// approx oracle is distance-only.
   bool has_paths() const noexcept { return !next_.empty(); }
   const std::string& solver_label() const noexcept { return meta_.label; }
-  /// Stats of the CONGEST run that produced the matrices (rounds, messages).
+  /// Stats of the CONGEST run that produced the tables (zeroed for
+  /// kReference).
   const congest::RunStats& build_stats() const noexcept { return meta_.stats; }
-  /// Bytes held by the distance + next-hop tables.
-  std::size_t memory_bytes() const noexcept;
+  /// Critical-path summary of the producing build; nullptr when the build
+  /// was not profiled (OracleBuildOptions::critpath off, reference solver,
+  /// or a process-global recorder owned the observation).
+  const obs::CritPathSummary* build_critpath() const noexcept {
+    return meta_.critpath.empty() ? nullptr : &meta_.critpath;
+  }
+  const OracleMeta& meta() const noexcept { return meta_; }
+  /// Bytes held by the distance + next-hop tables: 12 a cell with paths,
+  /// 8 without.
+  std::size_t memory_bytes() const noexcept { return row_bytes() * n_; }
 
   /// Distance u -> v (kInfDist when unreachable).  Unchecked hot path: ids
   /// must be < node_count(); the query service validates untrusted input.
@@ -100,9 +159,7 @@ class DistanceOracle {
   /// For u == v returns {u}.
   std::optional<std::vector<NodeId>> path(NodeId u, NodeId v) const;
 
-  /// Row u of the distance table (all targets of one source).  The serving
-  /// tier partitions oracles into vertex-range shards by copying/moving
-  /// whole rows; exposing them avoids recomputing the closure per shard.
+  /// Row u of the distance table (all targets of one source).
   std::span<const Weight> dist_row(NodeId u) const noexcept {
     return {dist_.data() + flat(u, 0), static_cast<std::size_t>(n_)};
   }
@@ -111,85 +168,62 @@ class DistanceOracle {
     if (next_.empty()) return {};
     return {next_.data() + flat(u, 0), static_cast<std::size_t>(n_)};
   }
-  const OracleMeta& meta() const noexcept { return meta_; }
+
+  /// Shard layout for occupancy reporting; the ranges partition [0, n) in
+  /// order, and the last may be short.
+  std::size_t shard_count() const noexcept {
+    return (n_ + rows_per_shard_ - 1) / rows_per_shard_;
+  }
+  ShardInfo shard_info(std::size_t shard) const noexcept;
+  std::vector<ShardInfo> shard_layout() const;
+
+  /// Publication epoch; 0 until the query service assigns one at swap time.
+  std::uint64_t epoch() const noexcept { return epoch_; }
+  /// Pre-publication only: the service stamps the epoch while it still holds
+  /// the sole reference, then releases the oracle to readers.
+  void set_epoch(std::uint64_t e) noexcept { epoch_ = e; }
 
  private:
-  friend DistanceOracle build_oracle(const graph::Graph& g,
-                                     const OracleBuildOptions& opts);
-  friend DistanceOracle make_oracle(
-      const std::vector<std::vector<Weight>>& dist,
-      const std::vector<std::vector<NodeId>>& parent, OracleMeta meta);
-  friend DistanceOracle make_oracle_from_distances(
-      const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
-      const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
-  friend DistanceOracle make_oracle_from_rows(NodeId n,
-                                              std::vector<Weight> dist,
-                                              std::vector<NodeId> next,
-                                              OracleMeta meta);
-
   std::size_t flat(NodeId u, NodeId v) const noexcept {
     return static_cast<std::size_t>(u) * n_ + v;
   }
+  std::size_t row_bytes() const noexcept {
+    return static_cast<std::size_t>(n_) *
+           (sizeof(Weight) + (next_.empty() ? 0 : sizeof(NodeId)));
+  }
 
   NodeId n_ = 0;
-  bool exact_ = true;
+  NodeId rows_per_shard_ = 1;
+  std::uint64_t epoch_ = 0;
   OracleMeta meta_;
-  std::vector<Weight> dist_;  // row-major [u*n + v]
-  std::vector<NodeId> next_;  // row-major; empty for distance-only oracles
+  Table<Weight> dist_;  // row-major [u*n + v]
+  Table<NodeId> next_;  // row-major; empty for distance-only oracles
 };
 
 /// Flattens a full APSP result (dist[s][v] with sources 0..n-1 in order)
 /// into an oracle.  `parent` (parent[s][v] = predecessor of v on the s-path)
 /// supplies the next-hop table; pass an empty vector for a distance-only
-/// oracle.  Throws std::logic_error on non-square input or parent chains
-/// that do not reach their source (corrupt run).
+/// oracle.  Throws std::logic_error on non-square input (every row of
+/// both matrices is checked) or parent chains that do not reach their
+/// source (corrupt run).
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
                            OracleMeta meta);
 
-/// Solver label of every kReference closure, flat or sharded.
+/// Solver label of every kReference closure.
 inline constexpr char kReferenceLabel[] = "reference (Dijkstra sweep)";
 
-/// Where the reference builder writes one source's rows: n distances and n
-/// next hops, in the closure's own storage.
-struct RowSlot {
-  Weight* dist;
-  NodeId* next;
-};
-
-/// The reference closure builder shared by build_oracle(kReference) and
-/// serve::build_sharded_oracle(kReference): runs seq::dijkstra_row for
-/// every source, in source order on the calling thread with one reused
-/// workspace, and writes source s's rows into slot(s).  The rows are
+/// The one builder: runs the chosen solver on g and writes its rows once
+/// into the oracle's table, reported as `shards` row ranges (clamped to
+/// [1, n]).  kReference runs seq::dijkstra_row for every source, in source
+/// order on the calling thread with one reused workspace; its rows are
 /// bit-identical to make_oracle over seq::dijkstra distances and parents.
-/// The loop does not use the thread pool, so a build's cost does not
-/// depend on how many cores are free (docs/PERF.md, "Reference closure
-/// build").
-void fill_reference_rows(const graph::Graph& g,
-                         const std::function<RowSlot(NodeId)>& slot);
-
-/// Same, deriving next hops from the distance matrix over g's arcs: the
-/// first hop toward v is the out-neighbor w with w(u,w) + dist(w,v) =
-/// dist(u,v), ties broken by fewer remaining hops (progress across
-/// zero-weight plateaus) then smaller id.  Used for solvers that report
-/// distances + hop counts but no parent pointers (scaled).
-DistanceOracle make_oracle_from_distances(
-    const graph::Graph& g, const std::vector<std::vector<Weight>>& dist,
-    const std::vector<std::vector<std::uint32_t>>& hops, OracleMeta meta);
-
-/// Adopts already-flattened row-major tables without recomputation -- the
-/// socket coordinator's reassembly path, where workers ship finished rows.
-/// `dist` must hold exactly n*n entries; `next` holds n*n entries or is
-/// empty for a distance-only oracle.  Throws std::logic_error on size
-/// mismatch.  No parent-chain revalidation happens here: the rows come from
-/// a builder that already validated them, and the coordinator's digest
-/// checks guard the transport.
-DistanceOracle make_oracle_from_rows(NodeId n, std::vector<Weight> dist,
-                                     std::vector<NodeId> next,
-                                     OracleMeta meta);
-
-/// Enum-dispatched factory: runs the chosen solver on g and builds the
-/// oracle from its output.
+/// The loop does not use the thread pool, so a build's cost does not depend
+/// on how many cores are free (docs/PERF.md, "Reference closure build").
+/// kScaled reports distances and hop counts but no parents, so its next
+/// hops are derived over g's arcs: the first hop toward v is the
+/// out-neighbor w with w(u,w) + dist(w,v) = dist(u,v), ties broken by fewer
+/// remaining hops (progress across zero-weight plateaus) then smaller id.
 ///
 /// Fault safety: when a process-global fault plan is active
 /// (congest::Engine::set_global_fault_plan) and the solver ran on the
@@ -199,6 +233,7 @@ DistanceOracle make_oracle_from_rows(NodeId n, std::vector<Weight> dist,
 /// faulted build either serves correct reachability or fails loudly; it
 /// never silently serves kInfDist for a connected pair.
 DistanceOracle build_oracle(const graph::Graph& g,
-                            const OracleBuildOptions& opts = {});
+                            const OracleBuildOptions& opts = {},
+                            std::size_t shards = 1);
 
 }  // namespace dapsp::service

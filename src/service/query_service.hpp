@@ -3,13 +3,12 @@
 // The service answers three query types (dist, next-hop, full path) for
 // untrusted callers: ids are validated, unsupported queries are reported as
 // errors instead of UB, and every query is counted in service/stats.hpp.
-// Queries execute against an `OracleSnapshot` (flat or sharded, see
-// service/snapshot.hpp) behind a shared_ptr slot: `swap_snapshot` publishes
-// a replacement under live traffic, and each query pins the snapshot it
-// started on by copying the shared_ptr (a mutex held only for the pointer
-// copy -- never for the duration of a query, and never for a rebuild).  The
-// old snapshot is retired when the last in-flight query drops its
-// reference.  Batched
+// Queries execute against a `DistanceOracle` snapshot (service/oracle.hpp)
+// behind a shared_ptr slot: `swap_snapshot` publishes a replacement under
+// live traffic, and each query pins the snapshot it started on by copying
+// the shared_ptr (a mutex held only for the pointer copy -- never for the
+// duration of a query, and never for a rebuild).  The old snapshot is
+// retired when the last in-flight query drops its reference.  Batched
 // queries fan out over a private util::ThreadPool and answer from a single
 // snapshot, so results[i] always answers queries[i] bit-identically
 // regardless of thread count and a batch never mixes epochs.
@@ -35,7 +34,7 @@
 #include <vector>
 
 #include "query/types.hpp"
-#include "service/snapshot.hpp"
+#include "service/oracle.hpp"
 #include "service/stats.hpp"
 #include "util/thread_pool.hpp"
 
@@ -68,7 +67,9 @@ struct QueryResult {
   std::vector<NodeId> path;   ///< filled for kPath when reachable
   // Analytics payloads.
   bool feasible = true;       ///< kRoute: false when no route satisfies
-  std::vector<query::Route> routes;      ///< kKPaths (route_less order)
+  /// kKPaths: the canonical path first, then the later routes in
+  /// route_less order; weights never decrease.
+  std::vector<query::Route> routes;
   query::GraphReport report;             ///< kReport
   std::vector<double> centrality;        ///< kBetweenness
 
@@ -122,11 +123,11 @@ struct ServeOptions {
 
 class QueryService {
  public:
-  /// Wraps a finished oracle in a FlatSnapshot at epoch 0.
+  /// Serves a finished oracle at epoch 0.
   explicit QueryService(DistanceOracle oracle, QueryServiceConfig cfg = {});
-  /// Serves an externally built snapshot (e.g. a serve::ShardedOracle).
-  /// The snapshot must not be mutated after this call.
-  explicit QueryService(std::shared_ptr<OracleSnapshot> snapshot,
+  /// Serves a shared oracle at epoch 0.  The oracle must not be mutated
+  /// after this call.
+  explicit QueryService(std::shared_ptr<DistanceOracle> snapshot,
                         QueryServiceConfig cfg = {});
   ~QueryService();
 
@@ -134,7 +135,7 @@ class QueryService {
   QueryService& operator=(const QueryService&) = delete;
 
   /// The snapshot currently serving; pins it against retirement while held.
-  std::shared_ptr<const OracleSnapshot> snapshot() const {
+  std::shared_ptr<const DistanceOracle> snapshot() const {
     std::lock_guard lock(snap_mu_);
     return snap_;
   }
@@ -155,7 +156,7 @@ class QueryService {
   /// caller (its epoch is stamped here, pre-publication).  `rebuild_ns`, when
   /// nonzero, records the background build duration that produced `next` in
   /// the rebuild-latency histogram.
-  std::uint64_t swap_snapshot(std::shared_ptr<OracleSnapshot> next,
+  std::uint64_t swap_snapshot(std::shared_ptr<DistanceOracle> next,
                               std::uint64_t rebuild_ns = 0);
 
   /// Executes one query.  Thread-safe; any number of callers may query
@@ -207,17 +208,17 @@ class QueryService {
   class AnalyticsCache;
   struct Recorder;
 
-  QueryResult execute(const OracleSnapshot& snap, const Query& q) const;
-  QueryResult execute_analytics(const OracleSnapshot& snap,
+  QueryResult execute(const DistanceOracle& snap, const Query& q) const;
+  QueryResult execute_analytics(const DistanceOracle& snap,
                                 const Query& q) const;
-  QueryResult timed_execute(const OracleSnapshot& snap, const Query& q) const;
+  QueryResult timed_execute(const DistanceOracle& snap, const Query& q) const;
   void serve_batch_directive(std::istream& in, std::ostream& out,
                              const ServeOptions& opts, std::uint64_t count,
                              int* malformed) const;
 
   QueryServiceConfig cfg_;
   mutable std::mutex snap_mu_;  ///< guards snap_ -- pointer copies only
-  std::shared_ptr<const OracleSnapshot> snap_;
+  std::shared_ptr<const DistanceOracle> snap_;
   std::atomic<std::uint64_t> epoch_{0};  ///< last assigned epoch
   std::unique_ptr<PathCache> cache_;     // null when capacity == 0
   std::unique_ptr<Recorder> recorder_;

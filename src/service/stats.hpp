@@ -27,12 +27,12 @@
 
 namespace dapsp::service {
 
-/// Occupancy of one vertex-range shard of the current oracle snapshot
-/// (a flat oracle reports itself as a single shard covering every row).
+/// Occupancy of one vertex-range shard of the current oracle snapshot: a
+/// row range of its one table (one shard covers every row when S = 1).
 struct ShardInfo {
   std::uint32_t row_begin = 0;  ///< first source row owned by the shard
   std::uint32_t row_end = 0;    ///< one past the last owned row
-  std::size_t bytes = 0;        ///< dist + next-hop bytes held by the shard
+  std::size_t bytes = 0;        ///< dist + next-hop bytes of those rows
 
   friend bool operator==(const ShardInfo&, const ShardInfo&) = default;
 };

@@ -81,6 +81,28 @@ TEST(Analytics, KShortestOnDiamondInCanonicalOrder) {
   EXPECT_EQ(r.dist, 2u);  // dist mirrors the best route
 }
 
+TEST(Analytics, KShortestCanonicalFirstThenRouteLess) {
+  // Two unit-weight 0 -> 5 routes of three hops.  route_less puts 0-1-4-5
+  // first, but the canonical path takes 5's smaller parent (3), so the
+  // engine and the reference both answer 0-2-3-5 first.
+  GraphBuilder b(6, /*directed=*/true);
+  b.add_edge(0, 1, 1).add_edge(1, 4, 1).add_edge(4, 5, 1);
+  b.add_edge(0, 2, 1).add_edge(2, 3, 1).add_edge(3, 5, 1);
+  const Graph g = std::move(b).build();
+  const AnalyticsService as(g);
+  Query q;
+  q.type = QueryType::kKPaths;
+  q.u = 0;
+  q.v = 5;
+  q.k = 2;
+  const QueryResult r = as.svc.query(q);
+  ASSERT_TRUE(r.ok) << r.error;
+  const std::vector<query::Route> want{{3, {0, 2, 3, 5}}, {3, {0, 1, 4, 5}}};
+  EXPECT_EQ(r.routes, want);
+  EXPECT_EQ(seq::k_shortest_paths(g, 0, 5, 2), want);
+  EXPECT_TRUE(query::route_less(want[1], want[0]));
+}
+
 TEST(Analytics, ConstrainedRouteFallsBackWhenClosurePathBanned) {
   const Graph g = diamond();
   const AnalyticsService as(g);
@@ -143,12 +165,11 @@ TEST(Analytics, AvoidIdsBeyondRangeAreIgnoredNotErrors) {
 TEST(Analytics, BetweennessBitIdenticalAcrossThreadCounts) {
   const Graph g = graph::erdos_renyi(40, 0.15, {0, 6, 0.2}, 777);
   const query::Analytics an(std::make_shared<const Graph>(g));
-  const auto snap = make_flat_snapshot(
-      build_oracle(g, {Solver::kReference, 0, 0.5}));
+  const DistanceOracle o = build_oracle(g, {Solver::kReference, 0, 0.5});
   util::ThreadPool pool1(1);
   util::ThreadPool pool8(8);
-  const auto a = an.betweenness(*snap, 0, pool1);
-  const auto b = an.betweenness(*snap, 0, pool8);
+  const auto a = an.betweenness(o, 0, pool1);
+  const auto b = an.betweenness(o, 0, pool8);
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
     // Chunked reduction in chunk order: not merely close -- identical bits.
@@ -159,11 +180,10 @@ TEST(Analytics, BetweennessBitIdenticalAcrossThreadCounts) {
 TEST(Analytics, ReportIdenticalAcrossThreadCounts) {
   const Graph g = graph::erdos_renyi(40, 0.15, {0, 6, 0.2}, 778);
   const query::Analytics an(std::make_shared<const Graph>(g));
-  const auto snap = make_flat_snapshot(
-      build_oracle(g, {Solver::kReference, 0, 0.5}));
+  const DistanceOracle o = build_oracle(g, {Solver::kReference, 0, 0.5});
   util::ThreadPool pool1(1);
   util::ThreadPool pool8(8);
-  EXPECT_TRUE(an.report(*snap, pool1) == an.report(*snap, pool8));
+  EXPECT_TRUE(an.report(o, pool1) == an.report(o, pool8));
 }
 
 TEST(Analytics, BetweennessSamplerIsSharedStride) {
@@ -364,8 +384,8 @@ TEST(QueryServiceAnalytics, CacheHitsOnRepeatMissesAfterSwap) {
   EXPECT_EQ(svc.stats().cache_misses, 3u);
 
   // A snapshot swap invalidates every entry implicitly.
-  svc.swap_snapshot(
-      make_flat_snapshot(build_oracle(g, {Solver::kReference, 0, 0.5})));
+  svc.swap_snapshot(std::make_shared<DistanceOracle>(
+      build_oracle(g, {Solver::kReference, 0, 0.5})));
   const QueryResult after = svc.query(q);
   ASSERT_TRUE(after.ok) << after.error;
   EXPECT_EQ(svc.stats().cache_misses, 4u);

@@ -1,8 +1,8 @@
 // Differential tests for the reference closure builder.  build_oracle
-// (kReference) and build_sharded_oracle(kReference, S) fill their rows with
-// seq::dijkstra_row; both must equal, bit for bit in dist and next_hop, the
-// closure make_oracle derives from the slow reference seq::dijkstra's rows
-// and parents.  The families stress every tie-break of the canonical
+// (kReference) fills its rows with seq::dijkstra_row; for every shard count
+// they must equal, bit for bit in dist and next_hop, the closure
+// make_oracle derives from the slow reference seq::dijkstra's rows and
+// parents.  The families stress every tie-break of the canonical
 // (distance, hops, smaller parent) label: zero-weight cycles, all-zero
 // weights, parallel arcs, unreachable pairs.  Labelled "service", with the
 // rest of the serving tier.
@@ -16,7 +16,6 @@
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 #include "seq/dijkstra.hpp"
-#include "serve/sharded_oracle.hpp"
 #include "service/oracle.hpp"
 
 namespace dapsp::service {
@@ -42,10 +41,9 @@ DistanceOracle slow_closure(const Graph& g) {
   return make_oracle(dist, parent, {kReferenceLabel, true, {}, {}});
 }
 
-/// Every cell of `got` (a DistanceOracle or an OracleSnapshot) equals
-/// `want`; stops at the first differing cell.
-template <typename Closure>
-void expect_same_closure(const DistanceOracle& want, const Closure& got) {
+/// Every cell of `got` equals `want`; stops at the first differing cell.
+void expect_same_closure(const DistanceOracle& want,
+                         const DistanceOracle& got) {
   const NodeId n = want.node_count();
   ASSERT_EQ(got.node_count(), n);
   EXPECT_TRUE(got.exact());
@@ -59,8 +57,8 @@ void expect_same_closure(const DistanceOracle& want, const Closure& got) {
   }
 }
 
-/// Both builders against the slow closure, plus Delta and strong
-/// connectivity against the slow rows.
+/// The builder at every shard count against the slow closure, plus Delta
+/// and strong connectivity against the slow rows.
 void check_graph(const Graph& g, const std::string& what) {
   SCOPED_TRACE(what + " n=" + std::to_string(g.node_count()) +
                " arcs=" + std::to_string(g.edge_count()));
@@ -69,7 +67,7 @@ void check_graph(const Graph& g, const std::string& what) {
   expect_same_closure(want, build_oracle(g, opts));
   for (const std::size_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_same_closure(want, *serve::build_sharded_oracle(g, opts, shards));
+    expect_same_closure(want, build_oracle(g, opts, shards));
   }
 
   Weight delta = 0;

@@ -153,6 +153,12 @@ TEST(Oracle, MakeOracleRejectsBadInput) {
   std::vector<std::vector<NodeId>> parent{
       {kNoNode, 2, 1}, {2, kNoNode, 0}, {1, 0, kNoNode}};
   EXPECT_THROW(make_oracle(dist, parent, {"x", true, {}, {}}), std::logic_error);
+  // A short parent row behind a full first row is rejected before any row
+  // is read past its end.
+  EXPECT_THROW(make_oracle({{0, 1, 1}, {1, 0, 1}, {1, 1, 0}},
+                           {{kNoNode, 0, 0}, {1}, {2, 2, kNoNode}},
+                           {"x", true, {}, {}}),
+               std::logic_error);
 }
 
 // ---------------------------------------------------------------------------

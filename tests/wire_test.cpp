@@ -11,7 +11,6 @@
 
 #include "graph/generators.hpp"
 #include "obs/json.hpp"
-#include "serve/sharded_oracle.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "serve/wire.hpp"
 #include "service/query_service.hpp"
