@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark) for the simulator substrate itself:
 // wall-clock cost per simulated round, message delivery throughput, and the
 // exact-key arithmetic.  These measure the *simulator*, not the algorithms'
-// round complexity (that's what E1-E9 report).
+// round complexity (that's what E1-E9 report).  The ReferenceRows pair
+// times the reference closure's row kernel, which the engine does not run.
 //
 // The Sparse/Dense pairs run the same protocol under the active-set
 // scheduler (default) and the exhaustive dense fallback; both produce
@@ -12,6 +13,7 @@
 
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "baseline/bf_apsp.hpp"
 #include "congest/engine.hpp"
@@ -22,6 +24,7 @@
 #include "harness.hpp"
 #include "obs/critpath.hpp"
 #include "obs/trace.hpp"
+#include "seq/dijkstra.hpp"
 #include "util/int_math.hpp"
 
 namespace {
@@ -160,6 +163,42 @@ void BM_PipelinedApsp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_PipelinedApsp)->Arg(24)->Arg(48);
+
+// The reference closure's row kernel, seq::dijkstra_row, once per source
+// with one workspace: build_oracle(kReference)'s loop without the n x n
+// table.  RMAT graphs as in perfbench's reference_build (edgefactor 8, 20%
+// zero weights); mteps counts n * arcs edge scans per second.
+void run_reference_rows(benchmark::State& state, graph::Weight max_weight) {
+  const auto scale = static_cast<std::uint32_t>(state.range(0));
+  const graph::Graph g = graph::rmat(scale, 8, {0, max_weight, 0.2}, 5);
+  const graph::NodeId n = g.node_count();
+  std::vector<graph::Weight> dist(n);
+  std::vector<graph::NodeId> next(n);
+  seq::RowWorkspace ws;
+  for (auto _ : state) {
+    for (graph::NodeId s = 0; s < n; ++s) {
+      seq::dijkstra_row(g, s, dist, next, ws);
+    }
+    benchmark::DoNotOptimize(dist.data());
+    benchmark::DoNotOptimize(next.data());
+    benchmark::ClobberMemory();
+  }
+  state.counters["mteps"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * n *
+          static_cast<double>(g.edge_count()) * 1e-6,
+      benchmark::Counter::kIsRate);
+}
+
+void BM_ReferenceRows(benchmark::State& state) {
+  run_reference_rows(state, 8);
+}
+BENCHMARK(BM_ReferenceRows)->Arg(8)->Arg(11)->Unit(benchmark::kMillisecond);
+
+// Weights up to 2^30: the queue's entries land in high buckets.
+void BM_ReferenceRowsWide(benchmark::State& state) {
+  run_reference_rows(state, graph::Weight{1} << 30);
+}
+BENCHMARK(BM_ReferenceRowsWide)->Arg(8)->Unit(benchmark::kMillisecond);
 
 void BM_KeyCompare(benchmark::State& state) {
   const core::GammaSq gamma{1234, 567};

@@ -23,6 +23,9 @@ GraphBuilder& GraphBuilder::add_edge(NodeId u, NodeId v, Weight w) {
   if (u >= n_ || v >= n_) throw std::logic_error("add_edge: node id out of range");
   if (u == v) throw std::logic_error("add_edge: self-loops are not allowed");
   if (w < 0) throw std::logic_error("add_edge: negative weight");
+  if (w > max_edge_weight(n_)) {
+    throw std::logic_error("add_edge: weight too large, (n - 1) * w >= kInfDist");
+  }
   arcs_.push_back({u, v, w});
   arc_keys_.insert(pack(u, v));
   if (!directed_) {

@@ -24,6 +24,13 @@ using EdgeId = std::uint32_t;
 inline constexpr NodeId kNoNode = static_cast<NodeId>(-1);
 inline constexpr Weight kInfDist = static_cast<Weight>(1) << 60;
 
+/// Largest edge weight a graph on n nodes may carry: (n - 1) * w stays
+/// below kInfDist, so every simple path is shorter than kInfDist and no
+/// path sum overflows Weight.
+constexpr Weight max_edge_weight(NodeId n) noexcept {
+  return n < 2 ? kInfDist - 1 : (kInfDist - 1) / static_cast<Weight>(n - 1);
+}
+
 /// A directed arc u -> v with non-negative weight w.
 struct Edge {
   NodeId from = 0;
@@ -110,7 +117,8 @@ class GraphBuilder {
 
   /// Adds edge u->v (and v->u when undirected).  Self-loops are rejected:
   /// they never participate in shortest paths and would create degenerate
-  /// communication links.  Throws std::logic_error on bad input.
+  /// communication links.  So are weights outside [0, max_edge_weight(n)].
+  /// Throws std::logic_error on bad input.
   GraphBuilder& add_edge(NodeId u, NodeId v, Weight w);
 
   /// True if arc u->v was already added (O(1); used by generators to avoid

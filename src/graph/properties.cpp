@@ -33,13 +33,25 @@ Weight max_finite_hop_distance(const Graph& g, std::uint32_t h) {
 }
 
 bool strongly_connected(const Graph& g) {
-  std::vector<Weight> dist(g.node_count());
-  seq::RowWorkspace ws;
-  for (NodeId s = 0; s < g.node_count(); ++s) {
-    seq::dijkstra_row(g, s, dist, {}, ws);
-    for (const Weight d : dist) {
-      if (d == kInfDist) return false;
+  // Strongly connected iff node 0 reaches every node (BFS over out-arcs)
+  // and every node reaches node 0 (BFS over in-arcs).
+  const NodeId n = g.node_count();
+  if (n <= 1) return true;
+  for (const bool forward : {true, false}) {
+    std::vector<bool> seen(n, false);
+    std::vector<NodeId> order{0};
+    seen[0] = true;
+    for (std::size_t i = 0; i < order.size(); ++i) {
+      const NodeId u = order[i];
+      for (const Edge& e : forward ? g.out_edges(u) : g.in_edges(u)) {
+        const NodeId v = forward ? e.to : e.from;
+        if (!seen[v]) {
+          seen[v] = true;
+          order.push_back(v);
+        }
+      }
     }
+    if (order.size() != n) return false;
   }
   return true;
 }

@@ -1,6 +1,7 @@
 #include "seq/dijkstra.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <queue>
 #include <tuple>
 
@@ -95,44 +96,83 @@ void dijkstra_row(const Graph& g, NodeId source, std::span<Weight> dist,
   }
   std::uint32_t* const hops = ws.hops.data();
   NodeId* const via = ws.via.data();
-  auto& heap = ws.heap;
-  // Min-heap on (dist, hops).  Ties between nodes need no order: a label
-  // never depends on the order in which equal keys settle.
-  const auto later = [](const RowWorkspace::Entry& a,
-                        const RowWorkspace::Entry& b) {
-    return a.dist != b.dist ? a.dist > b.dist : a.hops > b.hops;
+  auto& buckets = ws.buckets;
+  auto& zero = ws.zero;
+  using Entry = RowWorkspace::Entry;
+  // Only a strictly better (dist, hops) is pushed, so exactly one entry
+  // per node matches its final label; the others are stale.
+  const auto stale = [&](const Entry& e) {
+    return e.dist != dist[e.node] || e.hops != hops[e.node];
+  };
+  // The distance being settled.  A queued distance d is at least `level`
+  // (weights are non-negative) and below 2 * kInfDist (settled distances
+  // and weights are below kInfDist), so the highest bit of d ^ level is the
+  // highest bit in which d exceeds the level.
+  Weight level = 0;
+  const auto bucket_of = [&level](Weight d) {
+    return std::bit_width(static_cast<std::uint64_t>(d ^ level));
   };
 
   dist[source] = 0;
   hops[source] = 0;
   via[source] = kNoNode;
-  heap.clear();
-  heap.push_back({0, 0, source});
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), later);
-    const RowWorkspace::Entry top = heap.back();
-    heap.pop_back();
-    const NodeId u = top.node;
-    // Only a strictly better (dist, hops) is pushed, so exactly one entry
-    // per node matches its final label; the others are stale.
-    if (top.dist != dist[u] || top.hops != hops[u]) continue;
-    if (!next.empty() && u != source) {
-      next[u] = via[u] == source ? u : next[via[u]];
-    }
-    const std::uint32_t h = top.hops + 1;
-    for (const graph::Edge& e : g.out_edges(u)) {
-      const NodeId v = e.to;
-      const Weight d = top.dist + e.weight;
-      if (d < dist[v] || (d == dist[v] && h < hops[v])) {
-        dist[v] = d;
-        hops[v] = h;
-        via[v] = u;
-        heap.push_back({d, h, v});
-        std::push_heap(heap.begin(), heap.end(), later);
-      } else if (d == dist[v] && h == hops[v] && u < via[v]) {
-        via[v] = u;  // same key, smaller parent: the entry stays valid
+  buckets[0].push_back({0, 0, source});
+  while (true) {
+    // Settle the level in hop order: its arrivals sorted once, merged with
+    // the zero-weight FIFO, whose hops are a settled hop count + 1 and so
+    // never decrease.  Ties between nodes need no order: a label never
+    // depends on the order in which equal keys settle.  Positive arcs push
+    // into buckets >= 1, so the arrivals do not change while they are read.
+    auto& arrivals = buckets[0];
+    std::sort(arrivals.begin(), arrivals.end(),
+              [](const Entry& a, const Entry& b) { return a.hops < b.hops; });
+    std::size_t ai = 0;
+    std::size_t zi = 0;
+    while (ai < arrivals.size() || zi < zero.size()) {
+      const bool from_arrivals =
+          zi == zero.size() ||
+          (ai < arrivals.size() && arrivals[ai].hops <= zero[zi].hops);
+      const Entry top = from_arrivals ? arrivals[ai++] : zero[zi++];
+      if (stale(top)) continue;
+      const NodeId u = top.node;
+      if (!next.empty() && u != source) {
+        next[u] = via[u] == source ? u : next[via[u]];
+      }
+      const std::uint32_t h = top.hops + 1;
+      for (const graph::Edge& e : g.out_edges(u)) {
+        const NodeId v = e.to;
+        const Weight d = level + e.weight;
+        if (d < dist[v] || (d == dist[v] && h < hops[v])) {
+          dist[v] = d;
+          hops[v] = h;
+          via[v] = u;
+          (e.weight == 0 ? zero : buckets[bucket_of(d)]).push_back({d, h, v});
+        } else if (d == dist[v] && h == hops[v] && u < via[v]) {
+          via[v] = u;  // same key, smaller parent: the entry stays valid
+        }
       }
     }
+    arrivals.clear();
+    zero.clear();
+
+    // The next level is the smallest live distance in the lowest non-empty
+    // bucket.  Its entries agree with that distance above their bucket's
+    // bit, so they all move to lower buckets, the new level's to bucket 0;
+    // the higher buckets keep their entries.
+    std::size_t b = 1;
+    for (; b < buckets.size(); ++b) {
+      std::erase_if(buckets[b], stale);
+      if (!buckets[b].empty()) break;
+    }
+    if (b == buckets.size()) return;
+    auto& from = buckets[b];
+    level = std::min_element(from.begin(), from.end(),
+                             [](const Entry& x, const Entry& y) {
+                               return x.dist < y.dist;
+                             })
+                ->dist;
+    for (const Entry& e : from) buckets[bucket_of(e.dist)].push_back(e);
+    from.clear();
   }
 }
 

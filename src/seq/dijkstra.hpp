@@ -6,10 +6,12 @@
 // among equal (d, l) the smaller parent id wins, making parents unique.
 //
 // `dijkstra` is the slow reference.  `dijkstra_row` is the closure
-// builders' kernel: the same labels, computed without per-pop allocation
-// and written straight into caller-owned rows.
+// builders' kernel: the same labels, computed with a radix queue instead of
+// a binary heap, without per-pop allocation, and written straight into
+// caller-owned rows.
 #pragma once
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -29,9 +31,9 @@ SsspResult dijkstra(const graph::Graph& g, graph::NodeId source);
 /// Shortest paths *into* `target` following in-edges (distances v -> target).
 SsspResult dijkstra_reverse(const graph::Graph& g, graph::NodeId target);
 
-/// Scratch of dijkstra_row (hop counts, parents, heap), grown on demand and
-/// reused across calls so that a sweep over every source allocates once.
-/// One workspace serves one thread at a time.
+/// Scratch of dijkstra_row (hop counts, parents, the radix queue), grown on
+/// demand and reused across calls so that a sweep over every source
+/// allocates once.  One workspace serves one thread at a time.
 struct RowWorkspace {
   struct Entry {
     graph::Weight dist;
@@ -40,7 +42,13 @@ struct RowWorkspace {
   };
   std::vector<std::uint32_t> hops;
   std::vector<graph::NodeId> via;
-  std::vector<Entry> heap;
+  /// Monotone radix queue over distances: an entry at distance d waits in
+  /// bucket bit_width(d ^ level), so bucket 0 holds the level being
+  /// settled.  Every bucket is empty between calls.
+  std::array<std::vector<Entry>, 65> buckets;
+  /// Entries reached at the current level over zero-weight arcs, in the
+  /// order they were pushed, which is hop order.
+  std::vector<Entry> zero;
 };
 
 /// One source's row of the canonical closure: dist[v] = dist(source, v)
@@ -53,7 +61,10 @@ struct RowWorkspace {
 ///
 /// A label is pushed only when it improves, and a node takes its first hop
 /// when it settles: its parent's label is strictly smaller in (d, l), so
-/// the parent settled first.
+/// the parent settled first.  Distances settle in increasing order, one
+/// level at a time, and the nodes of a level in increasing hop order; this
+/// relies on every distance lying in [0, kInfDist), which GraphBuilder's
+/// weight cap guarantees.
 void dijkstra_row(const graph::Graph& g, graph::NodeId source,
                   std::span<graph::Weight> dist, std::span<graph::NodeId> next,
                   RowWorkspace& ws);

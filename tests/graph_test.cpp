@@ -39,6 +39,31 @@ TEST(GraphBuilder, RejectsBadInput) {
   EXPECT_THROW(b.add_edge(0, 1, -2), std::logic_error);
 }
 
+TEST(GraphBuilder, RejectsWeightsWhosePathsReachInfinity) {
+  // An arc of weight kInfDist would be served as unreachable, and two arcs
+  // of 2^62 overflow Weight on a two-hop path: (n - 1) * w must stay below
+  // kInfDist.
+  GraphBuilder one(2, true);
+  EXPECT_THROW(one.add_edge(0, 1, kInfDist), std::logic_error);
+  GraphBuilder two(3, true);
+  EXPECT_THROW(two.add_edge(0, 1, Weight{1} << 62), std::logic_error);
+  EXPECT_THROW(two.add_edge(1, 2, Weight{1} << 62), std::logic_error);
+  EXPECT_EQ(two.pending_edge_count(), 0u);
+
+  // The cap itself is accepted, and a path of n - 1 arcs at the cap keeps
+  // its exact, finite length.
+  const NodeId n = 5;
+  const Weight cap = max_edge_weight(n);
+  EXPECT_LT(cap * (n - 1), kInfDist);
+  EXPECT_GE((cap + 1) * (n - 1), kInfDist);
+  GraphBuilder b(n, false);
+  for (NodeId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1, cap);
+  EXPECT_THROW(b.add_edge(0, n - 1, cap + 1), std::logic_error);
+  const Graph g = std::move(b).build();
+  EXPECT_EQ(max_finite_distance(g), cap * (n - 1));
+  EXPECT_TRUE(strongly_connected(g));
+}
+
 TEST(GraphBuilder, HasArcTracksBothDirectionsWhenUndirected) {
   GraphBuilder b(4, false);
   b.add_edge(0, 1, 1);
@@ -296,6 +321,17 @@ TEST(Io, SelfLoopInputFailsLoudly) {
   // load-then-silently-drop on the next write.
   std::stringstream in("dapsp undirected 3 2\n0 1 4\n2 2 0\n");
   EXPECT_THROW(read_graph(in), std::logic_error);
+}
+
+TEST(Io, WeightAboveCapFailsLoudly) {
+  // A weight whose paths reach kInfDist is rejected on read, like a
+  // negative one: 2^60 on 2 nodes, 2^62 on 3.
+  std::stringstream inf("dapsp directed 2 1\n0 1 1152921504606846976\n");
+  EXPECT_THROW(read_graph(inf), std::logic_error);
+  std::stringstream big(
+      "dapsp directed 3 2\n0 1 4611686018427387904\n"
+      "1 2 4611686018427387904\n");
+  EXPECT_THROW(read_graph(big), std::logic_error);
 }
 
 TEST(Io, DotExportUndirected) {

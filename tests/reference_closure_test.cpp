@@ -4,11 +4,16 @@
 // make_oracle derives from the slow reference seq::dijkstra's rows and
 // parents.  The families stress every tie-break of the canonical
 // (distance, hops, smaller parent) label: zero-weight cycles, all-zero
-// weights, parallel arcs, unreachable pairs.  Labelled "service", with the
-// rest of the serving tier.
+// weights, parallel arcs, unreachable pairs.  Two more stress the kernel's
+// radix queue: weights up to the builder's cap, whose entries wait in high
+// buckets and move down many times, and distance levels shared by many
+// nodes and joined by zero-weight chains, where the merge of a level's
+// sorted arrivals with its zero-weight FIFO decides every hop and parent
+// tie.  Labelled "service", with the rest of the serving tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -17,6 +22,7 @@
 #include "graph/properties.hpp"
 #include "seq/dijkstra.hpp"
 #include "service/oracle.hpp"
+#include "util/rng.hpp"
 
 namespace dapsp::service {
 namespace {
@@ -39,6 +45,64 @@ DistanceOracle slow_closure(const Graph& g) {
     parent[s] = std::move(r.parent);
   }
   return make_oracle(dist, parent, {kReferenceLabel, true, {}, {}});
+}
+
+/// g's arcs (each undirected edge once) with weights drawn from {0, 1,
+/// 2^10, 2^20, 2^30, the cap}.
+Graph with_wide_weights(const Graph& g, std::uint64_t seed) {
+  const Weight choices[] = {0,
+                            1,
+                            Weight{1} << 10,
+                            Weight{1} << 20,
+                            Weight{1} << 30,
+                            graph::max_edge_weight(g.node_count())};
+  util::Xoshiro256 rng(seed);
+  GraphBuilder b(g.node_count(), g.directed());
+  for (const graph::Edge& e : g.edges()) {
+    if (g.directed() || e.from < e.to) {
+      b.add_edge(e.from, e.to, choices[rng.below(std::size(choices))]);
+    }
+  }
+  return std::move(b).build();
+}
+
+/// Nodes on n/6 + 1 levels.  An arc climbs at most 3 levels and weighs
+/// `unit` times the gap, so paths that climb between two nodes all have
+/// one length and differ only in hops and parents; zero-weight chains of 1
+/// to 4 arcs join nodes of one level.
+Graph leveled(NodeId n, Weight unit, std::uint64_t seed, bool directed) {
+  util::Xoshiro256 rng(seed);
+  std::vector<Weight> level(n);
+  for (Weight& l : level) l = static_cast<Weight>(rng.below(n / 6 + 1));
+  GraphBuilder b(n, directed);
+  for (NodeId u = 0; u < n; ++u) {
+    for (NodeId v = 0; v < n; ++v) {
+      const Weight gap = level[v] - level[u];
+      if (gap > 0 && gap <= 3 && rng.chance(0.3)) b.add_edge(u, v, unit * gap);
+    }
+  }
+  std::vector<NodeId> order(n);
+  for (NodeId v = 0; v < n; ++v) order[v] = v;
+  for (NodeId i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[static_cast<NodeId>(rng.below(i))]);
+  }
+  std::stable_sort(order.begin(), order.end(), [&level](NodeId x, NodeId y) {
+    return level[x] < level[y];
+  });
+  std::uint64_t arcs = 0;
+  std::uint64_t chain = 1 + rng.below(4);
+  for (NodeId i = 1; i < n; ++i) {
+    const NodeId u = order[i - 1];
+    const NodeId v = order[i];
+    if (level[u] != level[v] || arcs == chain) {
+      arcs = 0;
+      chain = 1 + rng.below(4);
+    } else {
+      b.add_edge(u, v, 0);
+      ++arcs;
+    }
+  }
+  return std::move(b).build();
 }
 
 /// Every cell of `got` equals `want`; stops at the first differing cell.
@@ -143,6 +207,48 @@ TEST(ReferenceClosure, GridStarAndRmat) {
   }
 }
 
+TEST(ReferenceClosure, WideWeights) {
+  // Topologies of the ER families, reweighted up to the cap.
+  const WeightSpec any{0, 1, 0.0};
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    const NodeId n = static_cast<NodeId>(2 + seed % 29);
+    check_graph(with_wide_weights(
+                    graph::erdos_renyi(n, 0.25, any, 8600 + seed), seed),
+                "wide er");
+    check_graph(with_wide_weights(
+                    graph::erdos_renyi(n, 0.2, any, 8700 + seed, true), seed),
+                "wide er directed");
+    check_graph(with_wide_weights(graph::erdos_renyi(n, 0.08, any, 8800 + seed,
+                                                     false, false),
+                                  seed),
+                "wide sparse er");
+    check_graph(with_wide_weights(graph::erdos_renyi(n, 0.1, any, 8900 + seed,
+                                                     true, false),
+                                  seed),
+                "wide sparse er directed");
+  }
+  // A path of arcs at the cap: its far end lies at (n - 1) * cap, just
+  // below kInfDist, unless a zero-weight or a cap-weight chord cuts it.
+  for (const bool directed : {false, true}) {
+    const NodeId n = 9;
+    const Weight cap = graph::max_edge_weight(n);
+    GraphBuilder b(n, directed);
+    for (NodeId v = 0; v + 1 < n; ++v) b.add_edge(v, v + 1, cap);
+    b.add_edge(2, 6, 0).add_edge(0, 8, cap);
+    check_graph(std::move(b).build(), "cap path");
+  }
+}
+
+TEST(ReferenceClosure, SharedLevelsAndZeroChains) {
+  for (std::uint64_t seed = 0; seed < 16; ++seed) {
+    const NodeId n = static_cast<NodeId>(8 + seed * 3);
+    for (const Weight unit : {Weight{1}, Weight{5}, Weight{1} << 20}) {
+      check_graph(leveled(n, unit, 9000 + seed, false), "levels");
+      check_graph(leveled(n, unit, 9100 + seed, true), "levels directed");
+    }
+  }
+}
+
 TEST(ReferenceClosure, ParallelArcs) {
   // GraphBuilder keeps parallel arcs; the cheaper one must win, and a
   // zero-weight twin must not change the hop or parent tie-breaks.
@@ -163,26 +269,38 @@ TEST(ReferenceClosure, SingleNode) {
 }
 
 TEST(ReferenceClosure, KernelRowsWithOneWorkspace) {
-  // One workspace across graphs that shrink and grow, with and without
-  // next hops: every row equals seq::dijkstra.
+  // One workspace across graphs that shrink and grow and alternate
+  // all-zero, W = 8 and wide weights, with and without next hops: every
+  // row equals seq::dijkstra, and every call leaves the queue empty.
   seq::RowWorkspace ws;
+  const auto queue_empty = [&ws] {
+    return ws.zero.empty() &&
+           std::all_of(ws.buckets.begin(), ws.buckets.end(),
+                       [](const auto& bucket) { return bucket.empty(); });
+  };
   for (const NodeId n : {40u, 3u, 17u, 1u, 64u}) {
-    const Graph g = graph::erdos_renyi(n, 0.15, {0, 5, 0.3}, 8400 + n, true);
-    const DistanceOracle want = slow_closure(g);
-    std::vector<Weight> dist(n);
-    std::vector<NodeId> next(n);
-    for (NodeId s = 0; s < n; ++s) {
-      seq::dijkstra_row(g, s, dist, next, ws);
-      const auto drow = want.dist_row(s);
-      const auto nrow = want.next_row(s);
-      ASSERT_TRUE(std::equal(dist.begin(), dist.end(), drow.begin()))
-          << "n=" << n << " s=" << s;
-      ASSERT_TRUE(std::equal(next.begin(), next.end(), nrow.begin()))
-          << "n=" << n << " s=" << s;
-      std::fill(dist.begin(), dist.end(), -1);
-      seq::dijkstra_row(g, s, dist, {}, ws);
-      ASSERT_TRUE(std::equal(dist.begin(), dist.end(), drow.begin()))
-          << "distance-only n=" << n << " s=" << s;
+    const Graph w8 = graph::erdos_renyi(n, 0.15, {0, 8, 0.3}, 8400 + n, true);
+    const Graph kinds[] = {
+        graph::erdos_renyi(n, 0.15, {0, 0, 0.0}, 8400 + n, true), w8,
+        with_wide_weights(w8, 8450 + n)};
+    for (const Graph& g : kinds) {
+      const DistanceOracle want = slow_closure(g);
+      std::vector<Weight> dist(n);
+      std::vector<NodeId> next(n);
+      for (NodeId s = 0; s < n; ++s) {
+        seq::dijkstra_row(g, s, dist, next, ws);
+        ASSERT_TRUE(queue_empty()) << "n=" << n << " s=" << s;
+        const auto drow = want.dist_row(s);
+        const auto nrow = want.next_row(s);
+        ASSERT_TRUE(std::equal(dist.begin(), dist.end(), drow.begin()))
+            << "n=" << n << " s=" << s << " W=" << g.max_weight();
+        ASSERT_TRUE(std::equal(next.begin(), next.end(), nrow.begin()))
+            << "n=" << n << " s=" << s << " W=" << g.max_weight();
+        std::fill(dist.begin(), dist.end(), -1);
+        seq::dijkstra_row(g, s, dist, {}, ws);
+        ASSERT_TRUE(std::equal(dist.begin(), dist.end(), drow.begin()))
+            << "distance-only n=" << n << " s=" << s << " W=" << g.max_weight();
+      }
     }
   }
   // Rows of the wrong length and unknown sources are rejected, not
