@@ -2,7 +2,9 @@
 // wall-clock cost per simulated round, message delivery throughput, and the
 // exact-key arithmetic.  These measure the *simulator*, not the algorithms'
 // round complexity (that's what E1-E9 report).  The ReferenceRows pair
-// times the reference closure's row kernel, which the engine does not run.
+// times the reference closure's row kernel, which the engine does not run;
+// the Build rows time whole CONGEST oracle builds, one engine thread
+// against the pool.
 //
 // The Sparse/Dense pairs run the same protocol under the active-set
 // scheduler (default) and the exhaustive dense fallback; both produce
@@ -13,6 +15,7 @@
 
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baseline/bf_apsp.hpp"
@@ -25,6 +28,7 @@
 #include "obs/critpath.hpp"
 #include "obs/trace.hpp"
 #include "seq/dijkstra.hpp"
+#include "service/oracle.hpp"
 #include "util/int_math.hpp"
 
 namespace {
@@ -164,6 +168,50 @@ void BM_PipelinedApsp(benchmark::State& state) {
 }
 BENCHMARK(BM_PipelinedApsp)->Arg(24)->Arg(48);
 
+// service::build_oracle on perfbench's ER family (p = 4/n, weights [0, 6]
+// with 20% zero, seed 3), named BM_Build/{solver}/{n}/{threads}: threads 1
+// pins the engine to one thread, as perfbench's congest_apsp does; 0 leaves
+// it on the default process-global pool.  Each pair of rows measures what
+// the pool costs or gains against one engine thread.
+void run_build(benchmark::State& state, service::Solver solver,
+               graph::NodeId n, std::size_t threads) {
+  const graph::Graph g = graph::erdos_renyi(n, 4.0 / n, {0, 6, 0.2}, 3);
+  service::OracleBuildOptions opts;
+  opts.solver = solver;
+  congest::Engine::set_force_threads(
+      threads == 0 ? congest::Engine::kNoThreadOverride : threads);
+  congest::RunStats stats;
+  for (auto _ : state) {
+    const service::DistanceOracle o = service::build_oracle(g, opts);
+    stats = o.build_stats();
+    benchmark::DoNotOptimize(stats.rounds);
+  }
+  congest::Engine::set_force_threads(congest::Engine::kNoThreadOverride);
+  state.counters["rounds"] = static_cast<double>(stats.rounds);
+  state.counters["messages"] = static_cast<double>(stats.total_messages);
+}
+
+void register_build_rows() {
+  using service::Solver;
+  const std::pair<Solver, graph::NodeId> rows[] = {
+      {Solver::kPipelined, 64},  {Solver::kPipelined, 128},
+      {Solver::kPipelined, 256}, {Solver::kBlocker, 64},
+      {Solver::kBlocker, 128},   {Solver::kScaled, 64},
+      {Solver::kScaled, 128},    {Solver::kApprox, 64},
+      {Solver::kApprox, 128}};
+  for (const auto& [solver, n] : rows) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+      const std::string name = std::string("BM_Build/") +
+                               service::solver_name(solver) + "/" +
+                               std::to_string(n) + "/" +
+                               std::to_string(threads);
+      benchmark::RegisterBenchmark(name.c_str(), run_build, solver, n,
+                                   threads)
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
+}
+
 // The reference closure's row kernel, seq::dijkstra_row, once per source
 // with one workspace: build_oracle(kReference)'s loop without the n x n
 // table.  RMAT graphs as in perfbench's reference_build (edgefactor 8, 20%
@@ -296,6 +344,7 @@ int main(int argc, char** argv) {
       std::cout << "wrote " << record_file << '\n';
     }
   }
+  register_build_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -297,6 +297,10 @@ std::size_t Engine::plane_capacity_bytes() const {
 // --- sparse scheduler ------------------------------------------------------
 
 void Engine::schedule(NodeId v, Round wake) {
+  // One live wake per node: the wake a node already holds is queued (on
+  // the heap or active_next_), so a re-hint of it would only add a stale
+  // duplicate for build_active_set to pop.
+  if (wake_round_[v] == wake) return;
   wake_round_[v] = wake;
   if (wake == Protocol::kNeverSends) return;
   if (wake <= round_ + 1) {
@@ -438,27 +442,13 @@ void Engine::record_work_items() {
 
 // --- delivery --------------------------------------------------------------
 
-void Engine::gather_inbox(NodeId v) {
+void Engine::scramble_inbox(NodeId v) {
   auto& in = inbox_[v];
-  in.clear();  // already empty by the deferred-clear invariant; kept cheap
-  const std::size_t end = in_base_[v + 1];
-  for (std::size_t i = in_base_[v]; i < end; ++i) {
-    const auto& [from, slot] = in_links_[i];
-    const std::uint32_t cnt = link_cnt_[slot];
-    if (cnt == 0) continue;
-    const Outbox& ob = out_[from];
-    const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
-    const std::uint32_t off = link_off_[slot];
-    for (std::uint32_t j = 0; j < cnt; ++j) {
-      src.append_envelope(off + j, from, in);
-    }
-  }
-  if (options_.scramble_inbox && in.size() > 1) {
-    util::Xoshiro256 rng(options_.scramble_seed ^ (v * 0x9e3779b9ULL) ^
-                         (round_ << 20));
-    for (std::size_t i = in.size(); i > 1; --i) {
-      std::swap(in[i - 1], in[rng.below(i)]);
-    }
+  if (in.size() <= 1) return;
+  util::Xoshiro256 rng(options_.scramble_seed ^ (v * 0x9e3779b9ULL) ^
+                       (round_ << 20));
+  for (std::size_t i = in.size(); i > 1; --i) {
+    std::swap(in[i - 1], in[rng.below(i)]);
   }
 }
 
@@ -500,7 +490,7 @@ void Engine::encode_round_block(std::string& out) const {
 /// Rebuilds the receive side of the round from an authoritative wire block:
 /// validates the canonical layout, fills the wire columns and per-link
 /// (count, offset) tables, and gathers every receiver's inbox from them --
-/// the wire twin of the direct column gather.  Receiver discovery order
+/// the wire twin of in-process delivery.  Receiver discovery order
 /// matches the in-process path because the block preserves (sender
 /// ascending, first-touch link) order.
 void Engine::decode_and_gather(const std::string& block) {
@@ -565,9 +555,9 @@ void Engine::decode_and_gather(const std::string& block) {
   for (const std::uint32_t slot : wire_slots_) wire_cnt_[slot] = 0;
 }
 
-/// gather_inbox over the decoded wire columns instead of the senders'
-/// outboxes; same in-link iteration order and the same scramble draw, so a
-/// healthy wire round is bit-identical to the direct gather.
+/// Gathers v's inbox from the decoded wire columns over v's in-links,
+/// sender-ascending, with the same scramble draw as in-process delivery, so
+/// a healthy wire round is bit-identical to it.
 void Engine::gather_inbox_wire(NodeId v) {
   auto& in = inbox_[v];
   in.clear();
@@ -581,13 +571,7 @@ void Engine::gather_inbox_wire(NodeId v) {
       wire_cols_.append_envelope(off + j, from, in);
     }
   }
-  if (options_.scramble_inbox && in.size() > 1) {
-    util::Xoshiro256 rng(options_.scramble_seed ^ (v * 0x9e3779b9ULL) ^
-                         (round_ << 20));
-    for (std::size_t i = in.size(); i > 1; --i) {
-      std::swap(in[i - 1], in[rng.below(i)]);
-    }
-  }
+  if (options_.scramble_inbox) scramble_inbox(v);
 }
 
 Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
@@ -733,7 +717,7 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
     }
   }
 
-  // 4. Gather per receiver, in (sender, send order) order -- or, when
+  // 4. Fill each receiver's inbox in (sender, send order) order -- or, when
   // scrambling, in a deterministic per-(receiver, round) permutation.
   if (plane_remote_) {
     // Remote plane: serialize the round, let the plane replace the block
@@ -770,36 +754,35 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
     faults_->release(round_, inbox_, inbox_mark_, receivers_);
     for (const NodeId u : receivers_) inbox_mark_[u] = 0;
     if (options_.scramble_inbox) {
-      for (const NodeId v : receivers_) {
-        auto& in = inbox_[v];
-        if (in.size() <= 1) continue;
-        util::Xoshiro256 rng(options_.scramble_seed ^ (v * 0x9e3779b9ULL) ^
-                             (round_ << 20));
-        for (std::size_t i = in.size(); i > 1; --i) {
-          std::swap(in[i - 1], in[rng.below(i)]);
-        }
-      }
+      for (const NodeId v : receivers_) scramble_inbox(v);
     }
     stats_.faults += faults_->round_stats();
   } else {
-    // Both schedules derive the receiver set from the touched links and
-    // gather only those inboxes; all other inboxes are empty by the
-    // deferred-clear invariant, so the dense oracle's exhaustive receive
-    // loop still sees exactly what an all-nodes gather produced.
+    // Push delivery: walk the senders ascending and append each touched
+    // link's messages, in send order, to its receiver's inbox.  A receiver
+    // has one link per sender, so every inbox comes out in (sender id, send
+    // order) order by construction.  Every inbox starts the walk empty (the
+    // deferred-clear invariant), so an empty one marks a new receiver, and
+    // the dense oracle's exhaustive receive loop reads empty spans for all
+    // the others.
     receivers_.clear();
     for (const NodeId sender : touched_senders_) {
-      for (const std::uint32_t slot : out_[sender].touched) {
+      const Outbox& ob = out_[sender];
+      const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
+      for (const std::uint32_t slot : ob.touched) {
         const NodeId u = link_target_[slot];
-        if (!inbox_mark_[u]) {
-          inbox_mark_[u] = 1;
-          receivers_.push_back(u);
+        auto& in = inbox_[u];
+        if (in.empty()) receivers_.push_back(u);
+        const std::uint32_t off = link_off_[slot];
+        const std::uint32_t cnt = link_cnt_[slot];
+        for (std::uint32_t j = 0; j < cnt; ++j) {
+          src.append_envelope(off + j, sender, in);
         }
       }
     }
-    pool_->parallel_for(receivers_.size(), [&](std::size_t i) {
-      gather_inbox(receivers_[i]);
-    });
-    for (const NodeId u : receivers_) inbox_mark_[u] = 0;
+    if (options_.scramble_inbox) {
+      for (const NodeId v : receivers_) scramble_inbox(v);
+    }
   }
 
   // 5. Retire outboxes (capacity kept -- steady-state rounds allocate

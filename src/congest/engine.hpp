@@ -14,9 +14,9 @@
 // entry's scheduled send round can equal its arrival round, so an engine
 // that delivered messages one round later would miss schedules forever.
 //
-// Within a round all nodes run concurrently on a thread pool; message
-// delivery is gathered per receiver in (sender id, send order) order, so
-// parallel and single-threaded executions are bit-identical.
+// Within a round all nodes run concurrently on a thread pool; delivery
+// fills every inbox in (sender id, send order) order, so parallel and
+// single-threaded executions are bit-identical.
 //
 // Sparse execution (the default): most algorithms leave almost every node
 // idle in almost every round -- Algorithm 1's ceil(kappa + pos) schedule
@@ -310,7 +310,8 @@ class Engine {
   /// tick chaining (round end doubles as next round's start, see
   /// last_tick_) a steady-state round reads the clock 3 times instead of 6.
   ClockTp deliver(DeliverScope scope, ClockTp t_start);
-  void gather_inbox(NodeId v);
+  /// Applies the per-(receiver, round) scramble permutation to v's inbox.
+  void scramble_inbox(NodeId v);
   /// Remote-plane round path (see congest/plane.hpp): serialize the
   /// finalized senders into the canonical block / rebuild the receive side
   /// from the authoritative bytes the plane returned.
@@ -395,8 +396,7 @@ class Engine {
 
   // Remote-plane scratch (sized only when plane_remote_): the encoded round
   // out-block and the decoded receive side -- per-link counts/offsets into
-  // one arrival-order column set, mirroring link_cnt_/link_off_ so the
-  // gather loop is the same shape as the in-process one.
+  // one arrival-order column set, mirroring link_cnt_/link_off_.
   std::string wire_block_;
   MessageColumns wire_cols_;
   std::vector<std::uint32_t> wire_cnt_;
@@ -428,7 +428,8 @@ class Engine {
   std::uint64_t nonquiet_ = 0;        // number of zeros in quiet_
 
   // Incoming link list per receiver, flattened CSR: (sender, link slot),
-  // sender-ascending per receiver.
+  // sender-ascending per receiver.  Only the remote-plane gather reads it;
+  // in-process delivery pushes from the senders' outboxes.
   struct InLink {
     NodeId from;
     std::size_t slot;
@@ -443,7 +444,7 @@ class Engine {
   // Protocol contract).
   std::vector<std::vector<Envelope>> inbox_;
   std::vector<NodeId> receivers_;         // non-empty inboxes this round
-  std::vector<std::uint8_t> inbox_mark_;  // dedup while building receivers_
+  std::vector<std::uint8_t> inbox_mark_;  // receivers_ dedup (fault, remote)
 
   // --- work-item recording (critical-path profiler feed) ---
   //
@@ -466,7 +467,9 @@ class Engine {
   // re-scheduled after its phase" (real wakes are always >= 1).  Nodes due
   // exactly next round go on active_next_ (the dense-default fast path, no
   // heap traffic); later wakes go through a lazy min-heap whose stale
-  // entries are dropped on pop by comparing against wake_round_.
+  // entries are dropped on pop by comparing against wake_round_.  A node
+  // holds one live wake: re-hinting the wake it holds queues nothing, so
+  // only a moved wake leaves a stale entry behind.
   std::vector<Round> wake_round_;
   std::vector<std::pair<Round, NodeId>> heap_;  // min-heap on Round
   std::vector<NodeId> active_next_;

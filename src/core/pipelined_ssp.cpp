@@ -31,7 +31,7 @@ struct SharedConfig {
   std::uint32_t h = 0;
   Weight delta = 0;
   GammaSq gamma;
-  KappaKernel kernel;  // batched/fast-path kappa arithmetic for this gamma
+  KappaKernel kernel;  // fast-path kappa arithmetic for this gamma
   ListPolicy policy = ListPolicy::kDominance;
   std::vector<NodeId> sources;
   std::vector<std::int32_t> source_index;  // node -> index in sources, or -1
@@ -182,13 +182,10 @@ class PipelinedProtocol final : public Protocol {
   }
 
   void receive_phase(Context& ctx) override {
-    // Parse-then-batch: the admission filters (tag, arc, source, hop
-    // budget) and the ceil(kappa) of each surviving candidate depend only
-    // on message content, so they run first and the kappa ceilings go
-    // through the kernel's span routine in one pass.  List examination
-    // stays in arrival order below, exactly as before.
-    pending_.clear();
-    pkeys_.clear();
+    // One pass in arrival order.  Every rule below concerns only entries
+    // for the arriving entry's own source, so each one reads that source's
+    // group of the index, never the whole list; ceil(kappa) is computed
+    // only for an entry that is inserted (insert_entry).
     for (const Envelope& env : ctx.inbox()) {
       if (env.msg.tag != kTagEntry) continue;
       const auto w = arc_weight_from(env.from);
@@ -196,29 +193,16 @@ class PipelinedProtocol final : public Protocol {
       const auto x = static_cast<NodeId>(env.msg.f[0]);
       const std::int32_t sidx = cfg_.source_index[x];
       if (sidx < 0) continue;
-      const Weight d = env.msg.f[1] + *w;
-      const auto l = static_cast<std::uint32_t>(env.msg.f[2]) + 1;
-      if (l > cfg_.h) continue;  // hop budget exhausted
-      pending_.push_back(Pending{
-          env.from, x, sidx, static_cast<std::uint64_t>(env.msg.f[3])});
-      pkeys_.push_back(Key{d, l});
-    }
-    pck_.resize(pkeys_.size());
-    cfg_.kernel.ceil_kappa_span(pkeys_, pck_);
-
-    // Every rule below concerns only entries for the arriving entry's own
-    // source, so each one reads that source's group of the index, never
-    // the whole list.
-    for (std::size_t pi = 0; pi < pending_.size(); ++pi) {
-      const Pending& pd = pending_[pi];
-      const Key key = pkeys_[pi];
-      const auto si = static_cast<std::size_t>(pd.sidx);
+      const Key key{env.msg.f[1] + *w,
+                    static_cast<std::uint32_t>(env.msg.f[2]) + 1};
+      if (key.l > cfg_.h) continue;  // hop budget exhausted
+      const auto si = static_cast<std::size_t>(sidx);
       if (key.d == best_d_[si] && key.l == best_l_[si] &&
-          pd.from < best_p_[si]) {
+          env.from < best_p_[si]) {
         // Step 9's parent tie-break: same (d, l) as the current SP entry,
         // smaller sender id.  Only the parent changes; the list already
         // holds this key.
-        best_p_[si] = pd.from;
+        best_p_[si] = env.from;
         settle_round_ = ctx.round();
         continue;
       }
@@ -229,17 +213,16 @@ class PipelinedProtocol final : public Protocol {
       if (cfg_.policy == ListPolicy::kDominance && dominated(si, key)) {
         continue;
       }
-      const Entry z{key.d, key.l, pd.source, pck_[pi], 0};
       const bool better =
           key.d < best_d_[si] || (key.d == best_d_[si] && key.l < best_l_[si]);
       if (better) {
         best_d_[si] = key.d;
         best_l_[si] = key.l;
-        best_p_[si] = pd.from;
+        best_p_[si] = env.from;
         settle_round_ = ctx.round();
         // Z becomes the only SP entry for its source.  The old one keeps
         // its flag through INSERT's removal step (DESIGN.md note 2).
-        const std::size_t at = insert_entry(z, si, /*sp=*/true);
+        const std::size_t at = insert_entry(key, x, si, /*sp=*/true);
         for (SourceRec& r : group(si)) r.sp = false;
         recs_[off_[si] + at].sp = true;
       } else {
@@ -254,7 +237,9 @@ class PipelinedProtocol final : public Protocol {
             ++gate_count;
           }
         }
-        if (gate_count < pd.nu) insert_entry(z, si, /*sp=*/false);
+        if (gate_count < static_cast<std::uint64_t>(env.msg.f[3])) {
+          insert_entry(key, x, si, /*sp=*/false);
+        }
       }
     }
   }
@@ -308,8 +293,9 @@ class PipelinedProtocol final : public Protocol {
     });
   }
 
-  /// INSERT procedure; returns the offset of Z's record in its group
-  /// (stable under the removal step, which only drops records above it).
+  /// INSERT procedure for Z = (key, x) of source si; returns the offset of
+  /// Z's record in its group (stable under the removal step, which only
+  /// drops records above it).
   ///
   /// Deviation from the conference listing (documented in DESIGN.md): the
   /// removal step drops entries for x that Z *dominates* (distance and hops
@@ -318,13 +304,18 @@ class PipelinedProtocol final : public Protocol {
   /// fewer-hops path is the only way some h-hop shortest distance reaches a
   /// later node; dominance-based removal is delivery-safe by construction
   /// and the Lemma II.14 round bound is asserted by tests/benches instead.
-  std::size_t insert_entry(const Entry& z, std::size_t si, bool sp) {
+  std::size_t insert_entry(const Key& key, NodeId x, std::size_t si,
+                           bool sp) {
+    const Entry z{key.d, key.l, x, cfg_.kernel.ceil_kappa(key), 0};
     // Position by (kappa, d, x); Z lands before any entry equal to it.
+    // ceil is monotone, so a smaller cached ceil(kappa) already means a
+    // smaller kappa; only equal ceilings need the exact order.
     const auto less = [&](const Key& a, NodeId xa, const Key& b, NodeId xb) {
       return list_order(a, xa, b, xb, cfg_.kernel) < 0;
     };
     auto it = std::lower_bound(
         list_.begin(), list_.end(), z, [&](const Entry& a, const Entry& b) {
+          if (a.ck != b.ck) return a.ck < b.ck;
           return less(a.key(), a.source, b.key(), b.source);
         });
     it = list_.insert(it, z);
@@ -400,16 +391,6 @@ class PipelinedProtocol final : public Protocol {
     }
   }
 
-  /// One inbox envelope that survived the cheap filters, staged so the
-  /// kappa ceilings of a whole round's arrivals are computed in one
-  /// batched kernel pass before list maintenance touches any of them.
-  struct Pending {
-    NodeId from;
-    NodeId source;
-    std::int32_t sidx;
-    std::uint64_t nu;
-  };
-
   const SharedConfig& cfg_;
   NodeId self_;
   /// The kappa-sorted list; an entry's position is its send schedule.
@@ -419,9 +400,6 @@ class PipelinedProtocol final : public Protocol {
   /// entries while the list holds all k sources.
   std::vector<SourceRec> recs_;
   std::vector<std::uint32_t> off_;      // k+1 group offsets into recs_
-  std::vector<Pending> pending_;        // per-round scratch, grow-only
-  std::vector<Key> pkeys_;              // keys of pending_ (same order)
-  std::vector<std::uint64_t> pck_;      // batched ceil_kappa of pkeys_
   std::vector<std::pair<NodeId, Weight>> in_weight_;  // sorted by sender
   std::vector<Weight> best_d_;
   std::vector<std::uint32_t> best_l_;

@@ -774,6 +774,130 @@ TEST(DeliveryPlane, SteadyStateRoundsAllocateNothing) {
 }
 
 // ---------------------------------------------------------------------------
+// Sparse scheduler: one live wake per node.  A node that is re-queried with
+// the wake it already holds must not grow the wake heap, and a wake moved
+// later and back within one round must still fire exactly once, on time.
+// ---------------------------------------------------------------------------
+
+/// Node 0 pings node 1 every round for `pings` rounds; node 1 hears every
+/// ping and answers each re-query with the same far wake, where it sends
+/// once.
+class RehintProtocol final : public Protocol {
+ public:
+  static constexpr Round kFarWake = 100'000;
+
+  RehintProtocol(NodeId self, Round pings) : self_(self), pings_(pings) {}
+
+  void send_phase(Context& ctx) override {
+    if (self_ == 0 && ctx.round() <= pings_) {
+      ctx.send(1, Message(kPing, {}));
+    } else if (self_ == 1 && ctx.round() == kFarWake) {
+      ctx.send(0, Message(kPing, {}));
+    }
+  }
+
+  Round next_send_round(Round now) const override {
+    if (self_ == 0) return now < pings_ ? now + 1 : kNeverSends;
+    return now < kFarWake ? kFarWake : kNeverSends;
+  }
+
+ private:
+  NodeId self_;
+  Round pings_;
+};
+
+TEST(SparseScheduler, SameWakeRehintKeepsThePlaneConstant) {
+  const Graph g = graph::path(2, {1, 1, 0.0}, 7800);
+  std::vector<std::unique_ptr<Protocol>> procs;
+  for (NodeId v = 0; v < 2; ++v) {
+    procs.push_back(std::make_unique<RehintProtocol>(v, 1000));
+  }
+  Engine engine(g, std::move(procs));
+  for (int i = 0; i < 4; ++i) engine.step();  // init round + warm-up
+  const std::size_t warm = engine.plane_capacity_bytes();
+  for (int i = 0; i < 64; ++i) {
+    ASSERT_EQ(engine.step(), 1u);
+    ASSERT_EQ(engine.plane_capacity_bytes(), warm)
+        << "a same-wake re-hint grew the scheduler in round "
+        << engine.current_round();
+  }
+}
+
+/// Node 1 plans to send at kFire.  In round kMove its send phase pushes the
+/// plan to kFire + 10, and node 0's ping, heard in the same round's receive
+/// phase, pulls it back to kFire: two hints, later and back, in one round.
+class WakeMoveProtocol final : public Protocol {
+ public:
+  static constexpr Round kMove = 5;
+  static constexpr Round kFire = 30;
+
+  explicit WakeMoveProtocol(NodeId self) : self_(self) {}
+
+  void send_phase(Context& ctx) override {
+    const Round r = ctx.round();
+    if (self_ == 0) {
+      if (r == kMove) ctx.send(1, Message(kPing, {}));
+      return;
+    }
+    if (r == kMove) fire_ = kFire + 10;
+    if (r == fire_) {
+      ctx.send(0, Message(kPing, {}));
+      fired_at_.push_back(r);
+    }
+  }
+
+  void receive_phase(Context& ctx) override {
+    if (self_ == 1 && ctx.round() == kMove && !ctx.inbox().empty()) {
+      fire_ = kFire;
+    }
+  }
+
+  bool quiescent() const override {
+    return self_ == 0 || !fired_at_.empty();
+  }
+
+  Round next_send_round(Round now) const override {
+    if (now < kMove) return kMove;
+    if (self_ == 1 && now < fire_) return fire_;
+    return kNeverSends;
+  }
+
+  const std::vector<Round>& fired_at() const { return fired_at_; }
+
+ private:
+  NodeId self_;
+  Round fire_ = kFire;
+  std::vector<Round> fired_at_;
+};
+
+TEST(SparseScheduler, WakeMovedLaterAndBackFiresOnceAtTheHint) {
+  const Graph g = graph::path(2, {1, 1, 0.0}, 7900);
+  const auto run = [&](bool dense) {
+    EngineOverrideGuard guard;
+    Engine::set_force_dense(dense);
+    std::vector<std::unique_ptr<Protocol>> procs;
+    for (NodeId v = 0; v < 2; ++v) {
+      procs.push_back(std::make_unique<WakeMoveProtocol>(v));
+    }
+    EngineOptions opt;
+    opt.record_per_round = true;
+    Engine engine(g, std::move(procs), opt);
+    const RunStats stats = engine.run();
+    const auto& node1 =
+        static_cast<const WakeMoveProtocol&>(engine.protocol(1));
+    return std::make_pair(stats, node1.fired_at());
+  };
+  const auto [sparse, sparse_fired] = run(false);
+  const auto [dense, dense_fired] = run(true);
+  EXPECT_EQ(sparse_fired, std::vector<Round>{WakeMoveProtocol::kFire});
+  EXPECT_EQ(dense_fired, sparse_fired);
+  EXPECT_EQ(det(sparse), det(dense));
+  EXPECT_EQ(sparse.last_message_round, WakeMoveProtocol::kFire);
+  EXPECT_EQ(sparse.total_messages, 2u);
+  EXPECT_GT(sparse.skipped_rounds, 20u);  // the gap up to kFire is skipped
+}
+
+// ---------------------------------------------------------------------------
 // Trace recorder: observing a run must not change it, and what it records
 // must agree exactly with the engine's own accounting.
 // ---------------------------------------------------------------------------
