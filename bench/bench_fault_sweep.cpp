@@ -7,8 +7,10 @@
 // Erdos-Renyi graph.  Columns: measured rounds (the reliability tax --
 // expected to grow roughly like 1/(1-p) from retransmission round trips),
 // transport frames/retransmits, and a correctness check against sequential
-// Dijkstra -- every row must end "ok", or the transport is broken, not slow.
-// A second table sweeps seeds at fixed 10% loss to show the spread.
+// Dijkstra -- every row must end "ok", or the transport is broken, not slow,
+// and the sweep exits 1.  A second table sweeps seeds at fixed 10% loss to
+// show the spread.
+#include <iostream>
 #include <memory>
 #include <vector>
 
@@ -95,8 +97,10 @@ SweepRow run_one(const Graph& g, double drop, std::uint64_t seed) {
   return row;
 }
 
-void sweep_graph(const char* label, const Graph& g) {
+/// Prints one graph's drop-rate table; returns how many rows were WRONG.
+int sweep_graph(const char* label, const Graph& g) {
   using bench::fmt;
+  int wrong = 0;
   bench::Table table({"graph", "drop", "rounds", "messages", "data frames",
                       "retransmits", "pure acks", "dup drops", "exact"});
   const SweepRow base = run_one(g, 0.0, 1);
@@ -114,8 +118,10 @@ void sweep_graph(const char* label, const Graph& g) {
                fmt(row.res.transport.pure_acks),
                fmt(row.res.transport.duplicates_dropped),
                row.exact ? "ok" : "WRONG"});
+    wrong += row.exact ? 0 : 1;
   }
   table.print();
+  return wrong;
 }
 
 }  // namespace
@@ -127,8 +133,9 @@ int main() {
                 "rounds column is the price of reliability, the exact "
                 "column the proof it was bought.");
 
-  sweep_graph("grid 6x8", graph::grid(6, 8, {1, 6, 0.0}, 7001));
-  sweep_graph("er n=48 p=0.12", graph::erdos_renyi(48, 0.12, {1, 8, 0.0}, 7002));
+  int wrong = sweep_graph("grid 6x8", graph::grid(6, 8, {1, 6, 0.0}, 7001));
+  wrong += sweep_graph("er n=48 p=0.12",
+                       graph::erdos_renyi(48, 0.12, {1, 8, 0.0}, 7002));
 
   std::cout << "\nSeed spread at drop=0.1 (grid 6x8):\n";
   bench::Table spread({"seed", "rounds", "retransmits", "exact"});
@@ -138,7 +145,12 @@ int main() {
     spread.row({fmt(seed), fmt(std::uint64_t{row.res.stats.rounds}),
                 fmt(row.res.transport.retransmits),
                 row.exact ? "ok" : "WRONG"});
+    wrong += row.exact ? 0 : 1;
   }
   spread.print();
+  if (wrong > 0) {
+    std::cerr << "E11: " << wrong << " row(s) not exact\n";
+    return 1;
+  }
   return 0;
 }

@@ -13,16 +13,10 @@ retiring a benchmark does not break CI.
 The threshold gate is one-sided: improvements of any size pass.  CI calls
 this with a wide threshold (noisy shared runners); locally the default 5% is
 a useful guard when iterating on delivery-path changes.
-
-Scenarios whose name matches --exempt (default ^CLIBuild/ -- the CLI-level
-oracle-build timings bench_engine.sh --backend socket appends, which have no
-committed baseline yet) are reported with their deltas but never fail the
-gate.
 """
 
 import argparse
 import json
-import re
 import sys
 
 
@@ -61,13 +55,8 @@ def main():
     ap.add_argument("--threshold", type=float, default=5.0,
                     help="max tolerated real_time regression in percent "
                          "(default 5)")
-    ap.add_argument("--exempt", default="^CLIBuild/",
-                    help="regex of scenario names reported but excluded "
-                         "from the regression gate (default ^CLIBuild/; "
-                         "empty string exempts nothing)")
     ap.add_argument("--out", help="also write the report to FILE")
     args = ap.parse_args()
-    exempt = re.compile(args.exempt) if args.exempt else None
 
     old = load(args.old_json)
     new = load(args.new_json)
@@ -90,11 +79,9 @@ def main():
         if "critpath_ns" in o and "critpath_ns" in n and o["critpath_ns"] > 0:
             cpct = 100.0 * (n["critpath_ns"] - o["critpath_ns"]) / o["critpath_ns"]
             crit = "%+.1f%%" % cpct
-        gated = not (exempt and exempt.search(name))
-        lines.append("%-36s %12s %12s %+7.1f%% %10s%s" %
-                     (name, fmt_ns(o_ns), fmt_ns(n_ns), pct, crit,
-                      "" if gated else "  (exempt)"))
-        if gated and pct > args.threshold:
+        lines.append("%-36s %12s %12s %+7.1f%% %10s" %
+                     (name, fmt_ns(o_ns), fmt_ns(n_ns), pct, crit))
+        if pct > args.threshold:
             regressions.append((name, pct))
     for name in only_old:
         lines.append("%-36s %12s %12s   (removed)" % (name, "-", "-"))

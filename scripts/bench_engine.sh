@@ -17,74 +17,12 @@
 # captured benchmark JSON files via scripts/bench_compare.py (per-scenario
 # real_time and critpath_ns deltas; exits non-zero on a >5% real_time
 # regression -- tune with --threshold PCT placed after the two files).
-#
-# --backend socket [N [WORKERS]] skips the microbench and instead times two
-# CLI-level oracle builds on an N-node grid (default 256): the in-process
-# backend and the multi-process socket backend with WORKERS shard processes
-# (default 4; see docs/BACKENDS.md).  Both timings are appended to
-# BENCH_ENGINE.json as CLIBuild/ scenarios -- bench_compare.py reports them
-# but exempts the CLIBuild/ prefix from the regression gate until a
-# committed baseline lands (the socket backend is a correctness surface
-# first; EXPERIMENTS.md E14 records the expected slowdown).
 set -e
 cd "$(dirname "$0")/.."
 
 if [ "${1:-}" = "--compare" ]; then
   shift
   exec python3 scripts/bench_compare.py "$@"
-fi
-
-if [ "${1:-}" = "--backend" ] && [ "${2:-}" = "socket" ]; then
-  shift 2
-  N="${1:-256}"
-  WORKERS="${2:-4}"
-  if [ -f build/build.ninja ] || [ -f build/Makefile ]; then
-    cmake --build build --target dapsp_cli
-  else
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
-    cmake --build build --target dapsp_cli -j
-  fi
-  N="$N" WORKERS="$WORKERS" python3 - <<'EOF'
-import json, os, subprocess, time
-
-n = int(os.environ["N"])
-workers = int(os.environ["WORKERS"])
-cli = "./build/apps/dapsp_cli"
-base = [cli, "query", "--gen", "grid", "--n", str(n), "--seed", "2",
-        "--quiet", "--q", f"dist 0 {n - 1}"]
-runs = [
-    (f"CLIBuild/grid_n{n}_inproc", base),
-    (f"CLIBuild/grid_n{n}_socket_w{workers}",
-     base + ["--backend", "socket", "--workers", str(workers)]),
-]
-results = []
-outputs = set()
-for name, cmd in runs:
-    t0 = time.monotonic()
-    out = subprocess.run(cmd, check=True, capture_output=True, text=True)
-    ns = (time.monotonic() - t0) * 1e9
-    outputs.add(out.stdout)
-    results.append({"name": name, "run_name": name, "run_type": "iteration",
-                    "iterations": 1, "real_time": ns, "cpu_time": ns,
-                    "time_unit": "ns"})
-    print("  %-32s %10.3f s" % (name, ns / 1e9))
-if len(outputs) != 1:
-    raise SystemExit("FAIL: socket and in-process query outputs differ")
-print("  query outputs identical across backends")
-
-path = "BENCH_ENGINE.json"
-doc = {"benchmarks": []}
-if os.path.exists(path):
-    with open(path) as f:
-        doc = json.load(f)
-names = {r["name"] for r in results}
-doc["benchmarks"] = [b for b in doc.get("benchmarks", [])
-                     if b.get("name") not in names] + results
-with open(path, "w") as f:
-    json.dump(doc, f, indent=1)
-print("merged CLIBuild scenarios into %s" % os.path.abspath(path))
-EOF
-  exit 0
 fi
 
 if [ -f build/build.ninja ]; then

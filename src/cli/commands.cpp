@@ -19,8 +19,6 @@
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
-#include "net/coordinator.hpp"
-#include "net/worker.hpp"
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
@@ -297,21 +295,9 @@ service::OracleBuildOptions make_build_options(const Options& opt) {
 /// (framed stream) output.
 service::QueryService make_service(const Options& opt, const Graph& g,
                                    std::ostream& out, double* build_ms) {
-  const service::OracleBuildOptions b = make_build_options(opt);
   const auto t0 = std::chrono::steady_clock::now();
-  service::DistanceOracle oracle;
-  if (opt.backend == "socket") {
-    // Multi-process build: the coordinator spawns `dapsp worker` children
-    // and reassembles a bit-identical oracle from their owned rows.  The
-    // parser already rejected --shards/--faults/--critpath combinations.
-    net::SocketBackendOptions sopt;
-    sopt.workers = opt.workers;
-    sopt.tcp = opt.transport == "tcp";
-    sopt.timeout_ms = opt.net_timeout_ms;
-    oracle = net::socket_build_oracle(g, b, sopt);
-  } else {
-    oracle = service::build_oracle(g, b, opt.shards);
-  }
+  service::DistanceOracle oracle =
+      service::build_oracle(g, make_build_options(opt), opt.shards);
   *build_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -630,12 +616,6 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
       out << usage();
       return 0;
     }
-    if (opt.command == Command::kWorker) {
-      // Shard process: no input graph of its own -- the job (graph + solver
-      // options) arrives over the socket from the coordinator that spawned
-      // us.  Dispatched before make_input_graph for exactly that reason.
-      return net::worker_main({opt.connect, opt.rank, opt.net_timeout_ms});
-    }
     const Graph g = make_input_graph(opt);
     const TraceScope trace(opt);
     const FaultScope faults(opt);
@@ -666,7 +646,6 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
       case Command::kProfile:
         rc = cmd_profile(opt, g, *trace.recorder(), out);
         break;
-      case Command::kWorker:
       case Command::kHelp:
         break;
     }

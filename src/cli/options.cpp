@@ -94,7 +94,6 @@ Command parse_command(const std::string& word) {
   if (word == "serve") return Command::kServe;
   if (word == "query") return Command::kQuery;
   if (word == "profile") return Command::kProfile;
-  if (word == "worker") return Command::kWorker;
   if (word == "help" || word == "--help" || word == "-h") return Command::kHelp;
   fail("unknown command '" + word + "'");
 }
@@ -221,29 +220,6 @@ Options parse_options(const std::vector<std::string>& args) {
     } else if (a == "--fault-seed") {
       opt.fault_seed = parse_unsigned(
           a, next_value(a), std::numeric_limits<std::uint64_t>::max());
-    } else if (a == "--backend") {
-      opt.backend = next_value(a);
-      if (opt.backend != "inproc" && opt.backend != "socket") {
-        fail("unknown --backend '" + opt.backend + "' (inproc|socket)");
-      }
-    } else if (a == "--workers") {
-      opt.workers =
-          static_cast<std::uint32_t>(parse_unsigned(a, next_value(a), 256));
-      if (opt.workers < 1) fail("--workers must be >= 1");
-    } else if (a == "--transport") {
-      opt.transport = next_value(a);
-      if (opt.transport != "unix" && opt.transport != "tcp") {
-        fail("unknown --transport '" + opt.transport + "' (unix|tcp)");
-      }
-    } else if (a == "--net-timeout-ms") {
-      opt.net_timeout_ms = static_cast<std::uint32_t>(parse_unsigned(
-          a, next_value(a), std::numeric_limits<std::uint32_t>::max()));
-      if (opt.net_timeout_ms < 1) fail("--net-timeout-ms must be >= 1");
-    } else if (a == "--connect") {
-      opt.connect = next_value(a);
-    } else if (a == "--rank") {
-      opt.rank =
-          static_cast<std::uint32_t>(parse_unsigned(a, next_value(a), 255));
     } else {
       fail("unknown flag '" + a + "'");
     }
@@ -264,25 +240,6 @@ Options parse_options(const std::vector<std::string>& args) {
   if (opt.command == Command::kProfile &&
       (opt.format == Format::kCsv || opt.format == Format::kBinary)) {
     fail("profile supports --format table|json");
-  }
-  if (opt.command == Command::kWorker && opt.connect.empty()) {
-    fail("worker needs --connect");
-  }
-  if (opt.backend == "socket") {
-    if (opt.command != Command::kServe && opt.command != Command::kQuery) {
-      fail("--backend socket is only supported by serve and query");
-    }
-    if (opt.shards > 1) {
-      fail("--backend socket does not combine with --shards");
-    }
-    if (opt.faults_spec) {
-      fail("--backend socket does not combine with --faults (the remote "
-           "plane carries real messages, not simulated faults)");
-    }
-    if (opt.critpath) {
-      fail("--backend socket does not combine with --critpath (the build "
-           "runs in worker processes)");
-    }
   }
   return opt;
 }
@@ -308,8 +265,6 @@ commands:
            longest causal chain through the round engine (table or
            --format json); with --sources profiles a k-SSP run, otherwise
            an oracle build for --solver
-  worker   socket-backend shard process; spawned by the coordinator, not
-           meant to be run by hand (needs --connect, --rank)
   help     this text
 
 input (choose one):
@@ -339,17 +294,6 @@ service (serve/query; query lines are "dist U V" | "next U V" | "path U V"):
   --cache N                path-cache capacity (0 disables)       [4096]
   --shards N               vertex-range oracle shards             [1]
   --max-batch N            largest accepted batch                 [65536]
-
-backend (serve/query oracle builds; see docs/BACKENDS.md):
-  --backend inproc|socket  build in-process, or across worker
-                           processes over local sockets           [inproc]
-  --workers N              socket backend: shard processes (1-256) [2]
-  --transport unix|tcp     socket backend: unix-domain or loopback
-                           TCP sockets                            [unix]
-  --net-timeout-ms MS      per-frame deadline, both sides         [120000]
-  --connect SPEC           worker only: coordinator endpoint
-                           ("unix:/path" | "tcp:127.0.0.1:PORT")
-  --rank R                 worker only: shard index
 
 output:
   --format table|json|csv  result format                         [table]

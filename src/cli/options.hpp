@@ -24,7 +24,6 @@ enum class Command {
   kServe,    ///< build a distance oracle, answer queries from stdin/--queries
   kQuery,    ///< build a distance oracle, run a one-shot query batch
   kProfile,  ///< run a solver under the critical-path profiler, report chain
-  kWorker,   ///< socket-backend shard process (spawned by the coordinator)
   kHelp,
 };
 
@@ -62,17 +61,6 @@ struct Options {
   std::size_t cache_capacity = 4096;        // cached paths; 0 disables
   std::size_t shards = 1;                   // vertex-range oracle shards
   std::size_t max_batch = 1 << 16;          // largest accepted batch
-
-  // Oracle-build backend (serve / query commands).  "inproc" builds in this
-  // process; "socket" fans the build out to --workers child processes over
-  // local sockets (see docs/BACKENDS.md).  The worker command is the child
-  // side: it dials --connect and executes the shard the coordinator assigns.
-  std::string backend = "inproc";       // inproc|socket
-  std::uint32_t workers = 2;            // socket backend: shard processes
-  std::string transport = "unix";       // unix|tcp (loopback)
-  std::uint32_t net_timeout_ms = 120000;  // per-frame deadline, both sides
-  std::string connect;                  // worker: coordinator endpoint spec
-  std::uint32_t rank = 0;               // worker: shard index
 
   // Output.
   Format format = Format::kTable;

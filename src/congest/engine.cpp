@@ -5,7 +5,6 @@
 #include <stdexcept>
 
 #include "congest/faults.hpp"
-#include "congest/plane.hpp"
 #include "obs/trace.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -25,7 +24,6 @@ bool g_force_pin = false;
 std::size_t g_force_threads = Engine::kNoThreadOverride;
 obs::TraceRecorder* g_global_recorder = nullptr;
 const FaultPlan* g_global_fault_plan = nullptr;
-MessagePlane* g_global_plane = nullptr;
 
 using Clock = std::chrono::steady_clock;
 
@@ -70,10 +68,6 @@ void Engine::set_global_fault_plan(const FaultPlan* plan) noexcept {
 const FaultPlan* Engine::global_fault_plan() noexcept {
   return g_global_fault_plan;
 }
-void Engine::set_global_plane(MessagePlane* plane) noexcept {
-  g_global_plane = plane;
-}
-MessagePlane* Engine::global_plane() noexcept { return g_global_plane; }
 
 // --- NodeContext -----------------------------------------------------------
 
@@ -157,25 +151,10 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
   inbox_.resize(n);
   inbox_mark_.assign(n, 0);
 
-  in_base_.assign(n + 1, 0);
   for (NodeId u = 0; u < n; ++u) {
     const auto nbrs = g.comm_neighbors(u);
     for (std::size_t j = 0; j < nbrs.size(); ++j) {
       link_target_[link_base_[u] + j] = nbrs[j];
-      ++in_base_[nbrs[j] + 1];
-    }
-  }
-  for (NodeId v = 0; v < n; ++v) in_base_[v + 1] += in_base_[v];
-  in_links_.resize(links);
-  {
-    std::vector<std::size_t> cursor(in_base_.begin(), in_base_.end() - 1);
-    // comm_neighbors is sorted and u iterates ascending, so each receiver's
-    // in-link list comes out sender-ascending with no extra sort.
-    for (NodeId u = 0; u < n; ++u) {
-      const auto nbrs = g.comm_neighbors(u);
-      for (std::size_t j = 0; j < nbrs.size(); ++j) {
-        in_links_[cursor[nbrs[j]]++] = {u, link_base_[u] + j};
-      }
     }
   }
 
@@ -191,21 +170,6 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     faults_ =
         std::make_unique<FaultPlane>(*plan, n, std::move(link_from),
                                      link_target_);
-  }
-
-  plane_ = options_.plane != nullptr ? options_.plane : g_global_plane;
-  if (plane_ == nullptr) plane_ = &InProcessPlane::instance();
-  plane_remote_ = plane_->remote();
-  if (plane_remote_ && faults_ != nullptr) {
-    // A simulated fault plan inside a real distributed run would fork the
-    // replicas' message histories; real faults come from real processes.
-    throw std::logic_error(
-        "Engine: a remote message plane cannot combine with a simulated "
-        "FaultPlan");
-  }
-  if (plane_remote_) {
-    wire_cnt_.assign(links, 0);
-    wire_off_.assign(links, 0);
   }
 
   if (!dense_) {
@@ -229,7 +193,6 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     recorder_->begin_run(dense_ ? "engine(dense)" : "engine(sparse)", n,
                          links);
   }
-  plane_->begin_run(n, static_cast<std::uint64_t>(links));
 }
 
 Engine::~Engine() = default;
@@ -452,128 +415,6 @@ void Engine::scramble_inbox(NodeId v) {
   }
 }
 
-/// Serializes the finalized round into the canonical block (see plane.hpp):
-/// senders ascending, each sender's links in first-touch order, send order
-/// within a link.  Must run after step 2 of deliver() has filled link_off_.
-void Engine::encode_round_block(std::string& out) const {
-  out.clear();
-  block_put_u32(out, static_cast<std::uint32_t>(touched_senders_.size()));
-  for (const NodeId sender : touched_senders_) {
-    const Outbox& ob = out_[sender];
-    const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
-    block_put_u32(out, sender);
-    block_put_u32(out, static_cast<std::uint32_t>(ob.touched.size()));
-    const std::size_t len_pos = out.size();
-    block_put_u32(out, 0);  // byte_len, patched once the groups are written
-    const std::size_t body_start = out.size();
-    for (const std::uint32_t slot : ob.touched) {
-      const std::uint32_t cnt = link_cnt_[slot];
-      const std::uint32_t off = link_off_[slot];
-      block_put_u32(out, slot);
-      block_put_u32(out, cnt);
-      for (std::uint32_t j = 0; j < cnt; ++j) {
-        const std::size_t idx = off + j;
-        block_put_u32(out, src.tag(idx));
-        const std::uint32_t used = src.used(idx);
-        block_put_u32(out, used);
-        const std::int64_t* f = src.fields(idx);
-        for (std::uint32_t t = 0; t < used; ++t) {
-          block_put_u64(out, static_cast<std::uint64_t>(f[t]));
-        }
-      }
-    }
-    block_patch_u32(out, len_pos,
-                    static_cast<std::uint32_t>(out.size() - body_start));
-  }
-}
-
-/// Rebuilds the receive side of the round from an authoritative wire block:
-/// validates the canonical layout, fills the wire columns and per-link
-/// (count, offset) tables, and gathers every receiver's inbox from them --
-/// the wire twin of in-process delivery.  Receiver discovery order
-/// matches the in-process path because the block preserves (sender
-/// ascending, first-touch link) order.
-void Engine::decode_and_gather(const std::string& block) {
-  const NodeId n = graph_.node_count();
-  const auto bad = [](const char* why) {
-    throw std::runtime_error(
-        std::string("Engine: malformed wire round block: ") + why);
-  };
-  wire_cols_.clear();
-  wire_slots_.clear();
-  receivers_.clear();
-  BlockReader r(block);
-  const std::uint32_t sender_count = r.u32();
-  NodeId prev_sender = 0;
-  bool have_prev = false;
-  for (std::uint32_t s = 0; s < sender_count && r.ok(); ++s) {
-    const NodeId sender = r.u32();
-    const std::uint32_t groups = r.u32();
-    r.u32();  // byte_len: shard-slicing metadata, redundant here
-    if (!r.ok()) break;
-    if (sender >= n) bad("sender id out of range");
-    if (have_prev && sender <= prev_sender) bad("senders not ascending");
-    prev_sender = sender;
-    have_prev = true;
-    const std::size_t lo = link_base_[sender];
-    const std::size_t hi = link_base_[sender + 1];
-    for (std::uint32_t g = 0; g < groups && r.ok(); ++g) {
-      const std::uint32_t slot = r.u32();
-      const std::uint32_t cnt = r.u32();
-      if (!r.ok()) break;
-      if (slot < lo || slot >= hi) bad("link slot outside sender's range");
-      if (wire_cnt_[slot] != 0) bad("duplicate link group");
-      if (cnt == 0) bad("empty link group");
-      wire_cnt_[slot] = cnt;
-      wire_off_[slot] = static_cast<std::uint32_t>(wire_cols_.size());
-      wire_slots_.push_back(slot);
-      Message m;
-      for (std::uint32_t j = 0; j < cnt && r.ok(); ++j) {
-        m.tag = r.u32();
-        m.used = r.u32();
-        if (!r.ok()) break;
-        if (m.used > Message::kMaxFields) bad("message field count too large");
-        for (std::uint32_t t = 0; t < m.used; ++t) {
-          m.f[t] = static_cast<std::int64_t>(r.u64());
-        }
-        for (std::size_t t = m.used; t < Message::kMaxFields; ++t) m.f[t] = 0;
-        wire_cols_.push_back(m);
-      }
-      const NodeId u = link_target_[slot];
-      if (!inbox_mark_[u]) {
-        inbox_mark_[u] = 1;
-        receivers_.push_back(u);
-      }
-    }
-  }
-  if (!r.ok()) bad("truncated block");
-  if (!r.done()) bad("trailing bytes");
-  pool_->parallel_for(receivers_.size(), [&](std::size_t i) {
-    gather_inbox_wire(receivers_[i]);
-  });
-  for (const NodeId u : receivers_) inbox_mark_[u] = 0;
-  for (const std::uint32_t slot : wire_slots_) wire_cnt_[slot] = 0;
-}
-
-/// Gathers v's inbox from the decoded wire columns over v's in-links,
-/// sender-ascending, with the same scramble draw as in-process delivery, so
-/// a healthy wire round is bit-identical to it.
-void Engine::gather_inbox_wire(NodeId v) {
-  auto& in = inbox_[v];
-  in.clear();
-  const std::size_t end = in_base_[v + 1];
-  for (std::size_t i = in_base_[v]; i < end; ++i) {
-    const auto& [from, slot] = in_links_[i];
-    const std::uint32_t cnt = wire_cnt_[slot];
-    if (cnt == 0) continue;
-    const std::uint32_t off = wire_off_[slot];
-    for (std::uint32_t j = 0; j < cnt; ++j) {
-      wire_cols_.append_envelope(off + j, from, in);
-    }
-  }
-  if (options_.scramble_inbox) scramble_inbox(v);
-}
-
 Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
   const NodeId n = graph_.node_count();
 
@@ -719,16 +560,7 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
 
   // 4. Fill each receiver's inbox in (sender, send order) order -- or, when
   // scrambling, in a deterministic per-(receiver, round) permutation.
-  if (plane_remote_) {
-    // Remote plane: serialize the round, let the plane replace the block
-    // with the authoritative bytes (the coordinator's reassembly of every
-    // shard's owned senders), and gather the receive side from the wire
-    // image only.  That makes the gather below a function of bytes that
-    // actually crossed the transport, never of this replica's own outboxes.
-    encode_round_block(wire_block_);
-    plane_->exchange(round_, wire_block_);
-    decode_and_gather(wire_block_);
-  } else if (faults_ != nullptr) {
+  if (faults_ != nullptr) {
     // Fault path: the round's sends pass through the fault plane instead of
     // the direct link arrays.  Admission order is (sender ascending, link in
     // first-touch order, send order within a link) -- deterministic because
@@ -1016,14 +848,6 @@ std::uint64_t Engine::step() {
 }
 
 RunStats Engine::run() {
-  run_loop();
-  // The plane hook sits outside the loop so every exit path (quiescence,
-  // fast-forward stop, round budget) announces the same final stats.
-  plane_->end_run(stats_);
-  return stats_;
-}
-
-void Engine::run_loop() {
   if (!init_done_) {
     run_init_round();
     chain_ticks_ = true;  // last_tick_ was taken moments ago, safe to reuse
@@ -1042,7 +866,7 @@ void Engine::run_loop() {
     const bool frames_pending = faults_ != nullptr && faults_->has_pending();
     if (options_.stop_on_quiescence && sent == 0 && !frames_pending &&
         all_quiescent()) {
-      return;
+      return stats_;
     }
     if (!dense_ && active_next_.empty()) {
       // No node may act next round; the gap up to the earliest heap wake is
@@ -1066,7 +890,7 @@ void Engine::run_loop() {
         if (options_.stop_on_quiescence && !frames_pending &&
             all_quiescent()) {
           skip_silent_rounds(1);
-          return;
+          return stats_;
         }
         skip_silent_rounds(target - round_);
       }
@@ -1076,6 +900,7 @@ void Engine::run_loop() {
   const bool all_quiet = round_messages_ == 0 && all_quiescent() &&
                          (faults_ == nullptr || !faults_->has_pending());
   stats_.hit_round_limit = !all_quiet;
+  return stats_;
 }
 
 }  // namespace dapsp::congest

@@ -59,7 +59,6 @@ namespace dapsp::congest {
 class Engine;
 struct FaultPlan;
 class FaultPlane;
-class MessagePlane;
 
 /// Per-node, per-round view handed to protocol code.
 ///
@@ -177,14 +176,6 @@ struct EngineOptions {
   /// and RunStats are bit-identical to a faultless build (tested).  See
   /// congest/faults.hpp for semantics.
   const FaultPlan* faults = nullptr;
-  /// Message-exchange backend (not owned; must outlive the engine).  Null
-  /// falls back to the process-global plane (Engine::set_global_plane) and
-  /// then to the in-process singleton, which costs nothing: the engine never
-  /// serializes a round unless the resolved plane is remote().  A remote
-  /// plane is incompatible with a simulated FaultPlan (real transports fail
-  /// for real; see congest/plane.hpp) -- the constructor throws on the
-  /// combination.
-  MessagePlane* plane = nullptr;
 };
 
 /// The engine's concrete per-node Context.  One instance per node lives for
@@ -273,14 +264,6 @@ class Engine {
   static void set_global_fault_plan(const FaultPlan* plan) noexcept;
   static const FaultPlan* global_fault_plan() noexcept;
 
-  /// Process-wide message plane, latched by every subsequently constructed
-  /// engine whose options carry no plane of their own -- how the socket
-  /// worker (net/worker.*) reaches the engines built deep inside the
-  /// solvers.  Null clears it (engines then use the in-process singleton);
-  /// same single-threaded-setup contract as the overrides above.
-  static void set_global_plane(MessagePlane* plane) noexcept;
-  static MessagePlane* global_plane() noexcept;
-
   /// Heap bytes currently reserved by the reusable message plane (outbox
   /// columns, inboxes, scheduler and accounting scratch).  All of it is
   /// grow-only across rounds, so once a run reaches steady state this value
@@ -302,7 +285,6 @@ class Engine {
   enum class DeliverScope { kAllNodes, kActiveOnly };
 
   void run_init_round();
-  void run_loop();
   /// Delivers this round's sends.  `t_start` is the timestamp taken at the
   /// end of the send phase (which doubles as delivery start); deliver()
   /// reads the clock once at its end and returns that timestamp so the
@@ -312,12 +294,6 @@ class Engine {
   ClockTp deliver(DeliverScope scope, ClockTp t_start);
   /// Applies the per-(receiver, round) scramble permutation to v's inbox.
   void scramble_inbox(NodeId v);
-  /// Remote-plane round path (see congest/plane.hpp): serialize the
-  /// finalized senders into the canonical block / rebuild the receive side
-  /// from the authoritative bytes the plane returned.
-  void encode_round_block(std::string& out) const;
-  void decode_and_gather(const std::string& block);
-  void gather_inbox_wire(NodeId v);
   bool all_quiescent() const;
   /// Re-queries quiescent() for this round's senders and receivers and folds
   /// the result into the cached non-quiescent count.  Sound because the
@@ -350,8 +326,6 @@ class Engine {
   /// Constructed only when an enabled plan was attached (options or global);
   /// every fault branch in the engine is guarded on this being non-null.
   std::unique_ptr<FaultPlane> faults_;
-  MessagePlane* plane_ = nullptr;  // latched in ctor, never null after
-  bool plane_remote_ = false;      // == plane_->remote(), latched
   obs::TraceEvent* trace_event_ = nullptr;  // this round's slot, if recording
   std::unique_ptr<util::ThreadPool> own_pool_;  // when an explicit count is set
   util::ThreadPool* pool_ = nullptr;            // resolved once, never rechecked
@@ -394,15 +368,6 @@ class Engine {
   std::vector<Message> msg_scratch_;         // materialized view for
                                              // the fault plan
 
-  // Remote-plane scratch (sized only when plane_remote_): the encoded round
-  // out-block and the decoded receive side -- per-link counts/offsets into
-  // one arrival-order column set, mirroring link_cnt_/link_off_.
-  std::string wire_block_;
-  MessageColumns wire_cols_;
-  std::vector<std::uint32_t> wire_cnt_;
-  std::vector<std::uint32_t> wire_off_;
-  std::vector<std::uint32_t> wire_slots_;  // touched slots, for cheap reset
-
   // Per-sender accounting partials so the sender-side pass can run on the
   // pool and still reduce deterministically.
   struct SenderPartial {
@@ -427,15 +392,6 @@ class Engine {
   std::vector<std::uint8_t> quiet_;   // 1 = quiescent as of last query
   std::uint64_t nonquiet_ = 0;        // number of zeros in quiet_
 
-  // Incoming link list per receiver, flattened CSR: (sender, link slot),
-  // sender-ascending per receiver.  Only the remote-plane gather reads it;
-  // in-process delivery pushes from the senders' outboxes.
-  struct InLink {
-    NodeId from;
-    std::size_t slot;
-  };
-  std::vector<InLink> in_links_;
-  std::vector<std::size_t> in_base_;  // per node, into in_links_
   // Invariant between rounds (faultless path): every inbox is empty except
   // those of the most recent round's receivers_.  deliver() clears exactly
   // that list up front, so delivery touches O(senders + receivers) state
@@ -444,7 +400,7 @@ class Engine {
   // Protocol contract).
   std::vector<std::vector<Envelope>> inbox_;
   std::vector<NodeId> receivers_;         // non-empty inboxes this round
-  std::vector<std::uint8_t> inbox_mark_;  // receivers_ dedup (fault, remote)
+  std::vector<std::uint8_t> inbox_mark_;  // receivers_ dedup (fault path)
 
   // --- work-item recording (critical-path profiler feed) ---
   //

@@ -102,7 +102,6 @@ class MessageColumns {
     if (!uniform_) ends_.push_back(static_cast<std::uint32_t>(fields_.size()));
   }
 
-  std::uint32_t tag(std::size_t i) const noexcept { return tags_[i]; }
   std::uint32_t used(std::size_t i) const noexcept {
     return uniform_ ? width_ : ends_[i] - (i == 0 ? 0 : ends_[i - 1]);
   }

@@ -111,12 +111,11 @@ class DistanceOracle {
  public:
   DistanceOracle() = default;
   /// Adopts finished row-major tables without recomputation (the builders'
-  /// and the socket coordinator's path).  `dist` holds n*n entries; `next`
-  /// holds n*n entries or is empty for a distance-only oracle.  `shards` is
-  /// clamped to [1, n].  Throws std::logic_error on size mismatch.  No
-  /// parent-chain revalidation happens here: the rows come from a builder
-  /// that already validated them, and the coordinator's digest checks
-  /// guard the transport.
+  /// path).  `dist` holds n*n entries; `next` holds n*n entries or is empty
+  /// for a distance-only oracle.  `shards` is clamped to [1, n].  Throws
+  /// std::logic_error on size mismatch.  No parent-chain revalidation
+  /// happens here: the rows come from a builder that already validated
+  /// them.
   DistanceOracle(NodeId n, Table<Weight> dist, Table<NodeId> next,
                  OracleMeta meta, std::size_t shards = 1);
 
