@@ -34,12 +34,7 @@
 namespace {
 
 using namespace dapsp;
-
-/// Flips the engine to the dense fallback for one benchmark's scope.
-struct DenseScope {
-  explicit DenseScope(bool on) { congest::Engine::set_force_dense(on); }
-  ~DenseScope() { congest::Engine::set_force_dense(false); }
-};
+using congest::RunEnv;
 
 void record_engine_counters(benchmark::State& state,
                             const congest::RunStats& s) {
@@ -51,22 +46,22 @@ void record_engine_counters(benchmark::State& state,
   state.counters["receive_s"] = s.receive_seconds;
 }
 
-// Runs the scenario once more under a work-item recorder (outside the timed
-// loop) and attaches the critical-path summary as counters, so
-// BENCH_ENGINE.json carries the causal chain next to the wall-clock numbers:
+// Runs the scenario once more, as `run(env)` with a work-item recorder added
+// to `env` (outside the timed loop), and attaches the critical-path summary
+// as counters, so BENCH_ENGINE.json carries the causal chain next to the
+// wall-clock numbers:
 //   critpath_ns   longest dependence chain, attributed wall-clock (ns)
 //   critpath_len  steps on that chain
 //   critpath_pct  chain time as % of the run's engine phase wall-clock
 // The chain itself is deterministic (cost-weighted, see docs/PERF.md); only
 // the ns attribution varies run to run.
 template <typename Run>
-void record_critpath_counters(benchmark::State& state, Run&& run) {
+void record_critpath_counters(benchmark::State& state, RunEnv env, Run&& run) {
   obs::TraceRecorder::Options ropt;
   ropt.work_item_capacity = std::size_t{1} << 20;
   obs::TraceRecorder rec(ropt);
-  congest::Engine::set_global_recorder(&rec);
-  const congest::RunStats stats = run();
-  congest::Engine::set_global_recorder(nullptr);
+  env.recorder = &rec;
+  const congest::RunStats stats = run(env);
   const obs::CritPathReport rep = obs::analyze_critical_path(rec);
   const double wall_ns =
       (stats.send_seconds + stats.deliver_seconds + stats.receive_seconds) *
@@ -84,11 +79,14 @@ void record_critpath_counters(benchmark::State& state, Run&& run) {
 void run_path_sssp(benchmark::State& state, bool dense) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const graph::Graph g = graph::path(n, {1, 4, 0.0}, 11);
-  DenseScope scope(dense);
-  record_critpath_counters(state,
-                           [&] { return baseline::bf_sssp(g, 0).stats; });
+  const auto sssp = [&](const RunEnv& env) {
+    return baseline::bf_sssp(g, 0, /*reverse=*/false, /*max_rounds=*/0, env);
+  };
+  const RunEnv env{0, false, dense};
+  record_critpath_counters(state, env,
+                           [&](const RunEnv& e) { return sssp(e).stats; });
   for (auto _ : state) {
-    auto res = baseline::bf_sssp(g, 0);
+    auto res = sssp(env);
     benchmark::DoNotOptimize(res.dist.data());
     record_engine_counters(state, res.stats);
   }
@@ -115,9 +113,12 @@ void run_pipelined_cycle(benchmark::State& state, bool dense) {
   p.sources = {0};
   p.h = n - 1;
   p.delta = delta;
-  DenseScope scope(dense);
-  record_critpath_counters(state,
-                           [&] { return core::pipelined_kssp(g, p).stats; });
+  p.env.dense = dense;
+  record_critpath_counters(state, p.env, [&](const RunEnv& env) {
+    core::PipelinedParams q = p;
+    q.env = env;
+    return core::pipelined_kssp(g, std::move(q)).stats;
+  });
   for (auto _ : state) {
     auto res = core::pipelined_kssp(g, p);
     benchmark::DoNotOptimize(res.dist.data());
@@ -156,8 +157,9 @@ void BM_PipelinedApsp(benchmark::State& state) {
   const auto n = static_cast<graph::NodeId>(state.range(0));
   const graph::Graph g = graph::erdos_renyi(n, 4.0 / n, {0, 6, 0.2}, 2);
   const graph::Weight delta = graph::max_finite_distance(g);
-  record_critpath_counters(
-      state, [&] { return core::pipelined_apsp(g, delta).stats; });
+  record_critpath_counters(state, {}, [&](const RunEnv& env) {
+    return core::pipelined_apsp(g, delta, env).stats;
+  });
   for (auto _ : state) {
     auto res = core::pipelined_apsp(g, delta);
     benchmark::DoNotOptimize(res.dist.data());
@@ -178,15 +180,13 @@ void run_build(benchmark::State& state, service::Solver solver,
   const graph::Graph g = graph::erdos_renyi(n, 4.0 / n, {0, 6, 0.2}, 3);
   service::OracleBuildOptions opts;
   opts.solver = solver;
-  congest::Engine::set_force_threads(
-      threads == 0 ? congest::Engine::kNoThreadOverride : threads);
+  opts.env.threads = threads;
   congest::RunStats stats;
   for (auto _ : state) {
     const service::DistanceOracle o = service::build_oracle(g, opts);
     stats = o.build_stats();
     benchmark::DoNotOptimize(stats.rounds);
   }
-  congest::Engine::set_force_threads(congest::Engine::kNoThreadOverride);
   state.counters["rounds"] = static_cast<double>(stats.rounds);
   state.counters["messages"] = static_cast<double>(stats.total_messages);
 }
@@ -307,14 +307,13 @@ int main(int argc, char** argv) {
   {
     dapsp::obs::TraceRecorder recorder;
     const bool tracing = !trace_file.empty() || !record_file.empty();
-    if (tracing) dapsp::congest::Engine::set_global_recorder(&recorder);
+    dapsp::congest::RunEnv env;
+    if (tracing) env.recorder = &recorder;
     const dapsp::graph::Graph g =
         dapsp::graph::path(2048, {1, 4, 0.0}, 11);
-    auto sparse = dapsp::baseline::bf_sssp(g, 0);
-    dapsp::congest::Engine::set_force_dense(true);
-    auto dense = dapsp::baseline::bf_sssp(g, 0);
-    dapsp::congest::Engine::set_force_dense(false);
-    if (tracing) dapsp::congest::Engine::set_global_recorder(nullptr);
+    auto sparse = dapsp::baseline::bf_sssp(g, 0, false, 0, env);
+    env.dense = true;
+    auto dense = dapsp::baseline::bf_sssp(g, 0, false, 0, env);
     dapsp::bench::print_phase_timing({
         {"path-sssp n=2048 sparse", sparse.stats},
         {"path-sssp n=2048 dense", dense.stats},

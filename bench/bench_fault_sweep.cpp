@@ -84,7 +84,7 @@ SweepRow run_one(const Graph& g, double drop, std::uint64_t seed) {
   plan.drop_prob = drop;
   plan.seed = seed;
   congest::EngineOptions opt;
-  if (plan.enabled()) opt.faults = &plan;
+  if (plan.enabled()) opt.env.faults = &plan;
   opt.max_rounds = 200000;
   std::vector<Weight> dists(g.node_count(), graph::kInfDist);
   SweepRow row;

@@ -10,10 +10,8 @@
 #include <iostream>
 
 #include "core/blocker_apsp.hpp"
-#include "core/pipelined_ssp.hpp"
-#include "core/routing.hpp"
 #include "graph/generators.hpp"
-#include "graph/properties.hpp"
+#include "service/oracle.hpp"
 
 int main(int argc, char** argv) {
   using namespace dapsp;
@@ -73,21 +71,23 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Full next-hop forwarding: build hop-by-hop tables from an APSP run and
-  // push a packet from the last node to each gateway.
-  const auto apsp = core::pipelined_apsp(g, graph::max_finite_distance(g));
-  const auto tables = core::build_routing_tables(g, apsp);
+  // Full next-hop forwarding: the distance oracle of an APSP run (Algorithm
+  // 1) holds every node's next hop; push a packet from the last node to each
+  // gateway.
+  service::OracleBuildOptions apsp;
+  apsp.solver = service::Solver::kPipelined;
+  const service::DistanceOracle oracle = service::build_oracle(g, apsp);
   const graph::NodeId src = rows * cols - 1;
   std::cout << "\nforwarding from node " << src << ":\n";
   for (const auto gw : res.sources) {
-    const auto r = core::route(g, tables, src, gw);
-    if (!r) {
+    const auto path = oracle.path(src, gw);
+    if (!path) {
       std::cout << "  -> " << gw << ": unreachable\n";
       continue;
     }
-    std::cout << "  -> " << gw << " (cost " << r->cost << "): ";
-    for (std::size_t i = 0; i < r->path.size(); ++i) {
-      std::cout << (i ? " > " : "") << r->path[i];
+    std::cout << "  -> " << gw << " (cost " << oracle.dist(src, gw) << "): ";
+    for (std::size_t i = 0; i < path->size(); ++i) {
+      std::cout << (i ? " > " : "") << (*path)[i];
     }
     std::cout << "\n";
   }

@@ -102,7 +102,7 @@ class BellmanFordProtocol final : public Protocol {
 }  // namespace
 
 BfSsspResult bf_sssp(const Graph& g, NodeId source, bool reverse,
-                     congest::Round max_rounds) {
+                     congest::Round max_rounds, const congest::RunEnv& env) {
   const NodeId n = g.node_count();
   std::vector<std::unique_ptr<Protocol>> procs;
   procs.reserve(n);
@@ -111,6 +111,7 @@ BfSsspResult bf_sssp(const Graph& g, NodeId source, bool reverse,
   }
   EngineOptions opt;
   opt.max_rounds = max_rounds == 0 ? static_cast<Round>(n) + 2 : max_rounds;
+  opt.env = env;
   Engine engine(g, std::move(procs), opt);
 
   BfSsspResult res;
@@ -128,11 +129,12 @@ BfSsspResult bf_sssp(const Graph& g, NodeId source, bool reverse,
   return res;
 }
 
-BfApspResult bf_apsp(const Graph& g) {
+BfApspResult bf_apsp(const Graph& g, const congest::RunEnv& env) {
   BfApspResult res;
   res.dist.reserve(g.node_count());
   for (NodeId s = 0; s < g.node_count(); ++s) {
-    BfSsspResult one = bf_sssp(g, s);
+    BfSsspResult one =
+        bf_sssp(g, s, /*reverse=*/false, /*max_rounds=*/0, env);
     res.stats += one.stats;
     res.dist.push_back(std::move(one.dist));
   }

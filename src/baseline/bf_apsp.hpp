@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "graph/graph.hpp"
 
 namespace dapsp::baseline {
@@ -30,7 +30,8 @@ struct BfSsspResult {
 /// Forward SSSP from `source`; `reverse` computes dist(v, source) instead.
 /// `max_rounds` of 0 means n + 2.
 BfSsspResult bf_sssp(const graph::Graph& g, NodeId source, bool reverse = false,
-                     congest::Round max_rounds = 0);
+                     congest::Round max_rounds = 0,
+                     const congest::RunEnv& env = {});
 
 struct BfApspResult {
   std::vector<std::vector<Weight>> dist;  ///< dist[s][v]
@@ -38,6 +39,6 @@ struct BfApspResult {
 };
 
 /// n sequential Bellman-Ford SSSPs (the O(n^2)-round baseline).
-BfApspResult bf_apsp(const graph::Graph& g);
+BfApspResult bf_apsp(const graph::Graph& g, const congest::RunEnv& env = {});
 
 }  // namespace dapsp::baseline

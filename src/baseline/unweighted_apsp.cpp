@@ -193,6 +193,7 @@ PositiveApspResult positive_apsp(const Graph& g, PositiveApspParams params) {
       params.max_rounds > 0
           ? params.max_rounds
           : static_cast<Round>(params.distance_cap) + cfg.sources.size() + 4;
+  opt.env = params.env;
   Engine engine(g, std::move(procs), opt);
 
   PositiveApspResult res;
@@ -212,18 +213,23 @@ PositiveApspResult positive_apsp(const Graph& g, PositiveApspParams params) {
   return res;
 }
 
-PositiveApspResult unweighted_apsp(const Graph& g) {
-  return positive_apsp(g, {});
+PositiveApspResult unweighted_apsp(const Graph& g,
+                                   const congest::RunEnv& env) {
+  PositiveApspParams params;
+  params.env = env;
+  return positive_apsp(g, std::move(params));
 }
 
 std::vector<std::vector<bool>> zero_reach_congest(const Graph& g,
-                                                  congest::RunStats* stats) {
+                                                  congest::RunStats* stats,
+                                                  const congest::RunEnv& env) {
   PositiveApspParams params;
   params.weight_of = [](const graph::Edge& e) -> std::optional<Weight> {
     if (e.weight != 0) return std::nullopt;
     return Weight{1};
   };
   params.distance_cap = g.node_count() > 1 ? g.node_count() - 1 : 1;
+  params.env = env;
   PositiveApspResult run = positive_apsp(g, std::move(params));
   if (stats != nullptr) *stats += run.stats;
 

@@ -20,7 +20,7 @@
 #include <optional>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "graph/graph.hpp"
 
 namespace dapsp::baseline {
@@ -38,6 +38,7 @@ struct PositiveApspParams {
   /// Distances above the cap are not propagated (0 = no cap).
   Weight distance_cap = 0;
   congest::Round max_rounds = 0;  ///< 0 = derive from cap/k
+  congest::RunEnv env{};
 };
 
 struct PositiveApspResult {
@@ -52,12 +53,14 @@ PositiveApspResult positive_apsp(const graph::Graph& g,
                                  PositiveApspParams params);
 
 /// Unweighted APSP of [12]: hop distances between all pairs in < 2n rounds.
-PositiveApspResult unweighted_apsp(const graph::Graph& g);
+PositiveApspResult unweighted_apsp(const graph::Graph& g,
+                                   const congest::RunEnv& env = {});
 
 /// All-pairs zero-weight reachability (Section IV step 1): unweighted APSP
 /// over the zero-weight arcs only.  reach[s][v] true iff a zero-weight path
 /// s -> v exists.
-std::vector<std::vector<bool>> zero_reach_congest(const graph::Graph& g,
-                                                  congest::RunStats* stats);
+std::vector<std::vector<bool>> zero_reach_congest(
+    const graph::Graph& g, congest::RunStats* stats,
+    const congest::RunEnv& env = {});
 
 }  // namespace dapsp::baseline

@@ -159,14 +159,15 @@ void emit(const Options& opt, const DistOutput& r, std::ostream& out) {
   }
 }
 
-DistOutput run_apsp(const Options& opt, const Graph& g) {
+DistOutput run_apsp(const Options& opt, const Graph& g,
+                    const congest::RunEnv& env) {
   DistOutput r;
   r.sources.resize(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) r.sources[v] = v;
   switch (opt.algo) {
     case Algo::kPipelined: {
       const Weight delta = graph::max_finite_distance(g);
-      auto res = core::pipelined_apsp(g, delta);
+      auto res = core::pipelined_apsp(g, delta, env);
       r.dist = std::move(res.dist);
       r.stats = res.stats;
       r.bound = res.theoretical_bound;
@@ -176,6 +177,7 @@ DistOutput run_apsp(const Options& opt, const Graph& g) {
     case Algo::kBlocker: {
       core::BlockerApspParams p;
       p.h = opt.h;
+      p.env = env;
       auto res = core::blocker_apsp(g, p);
       r.dist = std::move(res.dist);
       r.stats = res.stats;
@@ -184,7 +186,7 @@ DistOutput run_apsp(const Options& opt, const Graph& g) {
       break;
     }
     case Algo::kBellmanFord: {
-      auto res = baseline::bf_apsp(g);
+      auto res = baseline::bf_apsp(g, env);
       r.dist = std::move(res.dist);
       r.stats = res.stats;
       r.bound = static_cast<std::uint64_t>(g.node_count()) *
@@ -196,13 +198,15 @@ DistOutput run_apsp(const Options& opt, const Graph& g) {
   return r;
 }
 
-DistOutput run_kssp(const Options& opt, const Graph& g) {
+DistOutput run_kssp(const Options& opt, const Graph& g,
+                    const congest::RunEnv& env) {
   DistOutput r;
   const Weight delta = graph::max_finite_distance(g);
   if (opt.algo == Algo::kBlocker) {
     core::BlockerApspParams p;
     p.sources = opt.sources;
     p.h = opt.h;
+    p.env = env;
     auto res = core::blocker_apsp(g, p);
     r.sources = res.sources;
     r.dist = std::move(res.dist);
@@ -210,7 +214,7 @@ DistOutput run_kssp(const Options& opt, const Graph& g) {
     r.bound = res.theoretical_bound;
     r.algo = "blocker k-SSP (Algorithm 3)";
   } else {
-    auto res = core::pipelined_kssp_full(g, opt.sources, delta);
+    auto res = core::pipelined_kssp_full(g, opt.sources, delta, env);
     r.sources = res.sources;
     r.dist = std::move(res.dist);
     r.stats = res.stats;
@@ -220,9 +224,11 @@ DistOutput run_kssp(const Options& opt, const Graph& g) {
   return r;
 }
 
-DistOutput run_approx(const Options& opt, const Graph& g) {
+DistOutput run_approx(const Options& opt, const Graph& g,
+                      const congest::RunEnv& env) {
   core::ApproxApspParams p;
   p.eps = opt.eps;
+  p.env = env;
   auto res = core::approx_apsp(g, p);
   DistOutput r;
   r.sources.resize(g.node_count());
@@ -275,16 +281,18 @@ int cmd_gen(const Options& opt, const Graph& g, std::ostream& out) {
   return 0;
 }
 
-service::OracleBuildOptions make_build_options(const Options& opt) {
+service::OracleBuildOptions make_build_options(const Options& opt,
+                                               const congest::RunEnv& env) {
   service::OracleBuildOptions b;
   b.solver = service::parse_solver(opt.solver);
   b.h = opt.h;
   b.eps = opt.eps;
-  // With --critpath but no trace/profile recorder of its own, the build
+  // With --critpath but no trace/profile recorder in `env`, the build
   // profiles itself and the summary surfaces through the stats paths (text
-  // `stats`, binary STATS opcode).  When a TraceScope recorder is active it
-  // owns the observation and build_oracle skips this (see oracle.hpp).
+  // `stats`, binary STATS opcode).  When a TraceScope recorder is in `env`
+  // it owns the observation and build_oracle skips this (see oracle.hpp).
   b.critpath = opt.critpath;
+  b.env = env;
   return b;
 }
 
@@ -294,10 +302,11 @@ service::OracleBuildOptions make_build_options(const Options& opt) {
 /// suppressed by --quiet and for json (machine-readable stream) and binary
 /// (framed stream) output.
 service::QueryService make_service(const Options& opt, const Graph& g,
+                                   const congest::RunEnv& env,
                                    std::ostream& out, double* build_ms) {
   const auto t0 = std::chrono::steady_clock::now();
   service::DistanceOracle oracle =
-      service::build_oracle(g, make_build_options(opt), opt.shards);
+      service::build_oracle(g, make_build_options(opt, env), opt.shards);
   *build_ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -320,9 +329,10 @@ service::QueryService make_service(const Options& opt, const Graph& g,
   return service::QueryService(std::move(oracle), cfg);
 }
 
-int cmd_serve(const Options& opt, const Graph& g, std::ostream& out) {
+int cmd_serve(const Options& opt, const Graph& g, const congest::RunEnv& env,
+              std::ostream& out) {
   double build_ms = 0;
-  service::QueryService svc = make_service(opt, g, out, &build_ms);
+  service::QueryService svc = make_service(opt, g, env, out, &build_ms);
   // Attach the input graph so the analytics families (kpath/route/report/bc)
   // answer instead of erroring.  Non-owning alias: `g` outlives the service
   // (both live in run_command's scope).
@@ -331,7 +341,8 @@ int cmd_serve(const Options& opt, const Graph& g, std::ostream& out) {
   // The manager gives the session's "rebuild" directive a real hot swap:
   // same graph + build options, fresh snapshot, published atomically under
   // whatever traffic the serve loop is carrying.
-  serve::SnapshotManager manager(svc, g, make_build_options(opt), opt.shards);
+  serve::SnapshotManager manager(svc, g, make_build_options(opt, env),
+                                 opt.shards);
   service::ServeOptions serve_opts;
   serve_opts.json = opt.format == Format::kJson;
   serve_opts.on_rebuild = [&manager] { return manager.rebuild_now(); };
@@ -355,9 +366,10 @@ int cmd_serve(const Options& opt, const Graph& g, std::ostream& out) {
   return malformed == 0 ? 0 : 1;
 }
 
-int cmd_query(const Options& opt, const Graph& g, std::ostream& out) {
+int cmd_query(const Options& opt, const Graph& g, const congest::RunEnv& env,
+              std::ostream& out) {
   double build_ms = 0;
-  service::QueryService svc = make_service(opt, g, out, &build_ms);
+  service::QueryService svc = make_service(opt, g, env, out, &build_ms);
   svc.enable_analytics(
       std::shared_ptr<const Graph>(std::shared_ptr<const Graph>{}, &g));
   // Collect the batch: every --q, then every line of --queries.
@@ -393,12 +405,11 @@ int cmd_query(const Options& opt, const Graph& g, std::ostream& out) {
   return 0;
 }
 
-/// Process-wide trace recording for the duration of one command.  The
-/// recorder is installed via Engine::set_global_recorder so it reaches the
-/// engines the solvers construct internally (including oracle builds for
-/// serve/query); RAII guarantees the global pointer never outlives the
-/// recorder, even when the command throws.  File export is an explicit step
-/// so open failures surface as command errors, not silent destructor noise.
+/// Trace recording for the duration of one command.  The recorder goes into
+/// the command's RunEnv, which carries it to the engines the solvers
+/// construct internally (including oracle builds for serve/query).  File
+/// export is an explicit step so open failures surface as command errors,
+/// not silent destructor noise.
 ///
 /// --critpath (and the profile command, which implies it) additionally
 /// turns on work-item recording so the recorder can feed the critical-path
@@ -409,8 +420,8 @@ class TraceScope {
   explicit TraceScope(const Options& opt) : opt_(opt) {
     const bool wants_items =
         opt_.critpath || opt_.command == Command::kProfile;
-    // --critpath alone (no trace files, not the profile command) installs
-    // nothing here: the oracle builder then profiles its own build and the
+    // --critpath alone (no trace files, not the profile command) makes no
+    // recorder here: the oracle builder then profiles its own build and the
     // summary reaches the serve/query stats paths instead.
     if (opt_.trace_file || opt_.trace_jsonl_file ||
         opt_.command == Command::kProfile) {
@@ -421,16 +432,10 @@ class TraceScope {
             opt_.trace_capacity.value_or(std::size_t{1} << 20);
       }
       recorder_ = std::make_unique<obs::TraceRecorder>(ropt);
-      congest::Engine::set_global_recorder(recorder_.get());
     }
   }
-  ~TraceScope() {
-    if (recorder_) congest::Engine::set_global_recorder(nullptr);
-  }
-  TraceScope(const TraceScope&) = delete;
-  TraceScope& operator=(const TraceScope&) = delete;
 
-  const obs::TraceRecorder* recorder() const { return recorder_.get(); }
+  obs::TraceRecorder* recorder() const { return recorder_.get(); }
 
   void export_files() const {
     if (!recorder_) return;
@@ -475,16 +480,17 @@ class TraceScope {
 /// cover at least the largest single phase); CI's profile-smoke step
 /// asserts them from the json form.
 int cmd_profile(const Options& opt, const Graph& g,
-                const obs::TraceRecorder& rec, std::ostream& out) {
+                const congest::RunEnv& env, std::ostream& out) {
   const auto t0 = std::chrono::steady_clock::now();
   std::string target;
   congest::RunStats run_stats;
   if (!opt.sources.empty()) {
-    DistOutput r = run_kssp(opt, g);
+    DistOutput r = run_kssp(opt, g, env);
     target = std::move(r.algo);
     run_stats = std::move(r.stats);
   } else {
-    const auto oracle = service::build_oracle(g, make_build_options(opt));
+    const auto oracle =
+        service::build_oracle(g, make_build_options(opt, env));
     target = oracle.solver_label();
     run_stats = oracle.build_stats();
   }
@@ -495,7 +501,8 @@ int cmd_profile(const Options& opt, const Graph& g,
 
   obs::CritPathOptions copt;
   copt.top_k_segments = opt.top_k;
-  const obs::CritPathReport rep = obs::analyze_critical_path(rec, copt);
+  const obs::CritPathReport rep =
+      obs::analyze_critical_path(*env.recorder, copt);
   const bool chain_le_wall = rep.total_ns <= wall_ns;
   const bool chain_ge_max_phase = rep.total_ns >= rep.max_phase_ns;
 
@@ -542,50 +549,6 @@ int cmd_profile(const Options& opt, const Graph& g,
   return chain_le_wall ? 0 : 1;
 }
 
-/// Process-wide fault injection for the duration of one command.  Parses
-/// --faults into a FaultPlan (applying the --fault-seed override) and
-/// installs it via Engine::set_global_fault_plan so every engine the
-/// command constructs -- including oracle builds for serve/query -- runs
-/// under the same plan.  RAII clears the global even when the command
-/// throws, so a failed faulted run cannot leak faults into a later one.
-class FaultScope {
- public:
-  explicit FaultScope(const Options& opt) {
-    if (!opt.faults_spec) return;
-    plan_ = congest::FaultPlan::parse(*opt.faults_spec);
-    if (opt.fault_seed) plan_.seed = *opt.fault_seed;
-    congest::Engine::set_global_fault_plan(&plan_);
-    installed_ = true;
-  }
-  ~FaultScope() {
-    if (installed_) congest::Engine::set_global_fault_plan(nullptr);
-  }
-  FaultScope(const FaultScope&) = delete;
-  FaultScope& operator=(const FaultScope&) = delete;
-
- private:
-  congest::FaultPlan plan_;
-  bool installed_ = false;
-};
-
-/// Process-wide worker pinning for the duration of one command (--pin):
-/// every engine the command constructs pins its resolved pool's workers.
-/// RAII clears the override so library callers never inherit it.
-class PinScope {
- public:
-  explicit PinScope(const Options& opt) : installed_(opt.pin) {
-    if (installed_) congest::Engine::set_force_pin(true);
-  }
-  ~PinScope() {
-    if (installed_) congest::Engine::set_force_pin(false);
-  }
-  PinScope(const PinScope&) = delete;
-  PinScope& operator=(const PinScope&) = delete;
-
- private:
-  bool installed_;
-};
-
 }  // namespace
 
 Graph make_input_graph(const Options& opt) {
@@ -618,8 +581,15 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
     }
     const Graph g = make_input_graph(opt);
     const TraceScope trace(opt);
-    const FaultScope faults(opt);
-    const PinScope pin(opt);
+    // One run environment for every engine the command constructs,
+    // including oracle builds and serve's rebuilds.
+    congest::FaultPlan plan;
+    if (opt.faults_spec) {
+      plan = congest::FaultPlan::parse(*opt.faults_spec);
+      if (opt.fault_seed) plan.seed = *opt.fault_seed;
+    }
+    const congest::RunEnv env{0, opt.pin, false, trace.recorder(),
+                              opt.faults_spec ? &plan : nullptr};
     int rc = 0;
     switch (opt.command) {
       case Command::kGen:
@@ -629,22 +599,22 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
         rc = cmd_info(opt, g, out);
         break;
       case Command::kApsp:
-        emit(opt, run_apsp(opt, g), out);
+        emit(opt, run_apsp(opt, g, env), out);
         break;
       case Command::kKssp:
-        emit(opt, run_kssp(opt, g), out);
+        emit(opt, run_kssp(opt, g, env), out);
         break;
       case Command::kApprox:
-        emit(opt, run_approx(opt, g), out);
+        emit(opt, run_approx(opt, g, env), out);
         break;
       case Command::kServe:
-        rc = cmd_serve(opt, g, out);
+        rc = cmd_serve(opt, g, env, out);
         break;
       case Command::kQuery:
-        rc = cmd_query(opt, g, out);
+        rc = cmd_query(opt, g, env, out);
         break;
       case Command::kProfile:
-        rc = cmd_profile(opt, g, *trace.recorder(), out);
+        rc = cmd_profile(opt, g, env, out);
         break;
       case Command::kHelp:
         break;

@@ -16,14 +16,9 @@ using graph::NodeId;
 
 namespace {
 
-// Process-wide A/B overrides (see Engine::set_force_dense).  Plain statics:
-// they are latched in the Engine constructor, and tests set them between
-// solver runs, never concurrently with engine construction.
-bool g_force_dense = false;
-bool g_force_pin = false;
+// The perfbench shim (see Engine::set_force_threads).  A plain static: it is
+// latched in the Engine constructor and set before any engine is built.
 std::size_t g_force_threads = Engine::kNoThreadOverride;
-obs::TraceRecorder* g_global_recorder = nullptr;
-const FaultPlan* g_global_fault_plan = nullptr;
 
 using Clock = std::chrono::steady_clock;
 
@@ -49,24 +44,8 @@ struct WakeGreater {
 
 }  // namespace
 
-void Engine::set_force_dense(bool on) noexcept { g_force_dense = on; }
-bool Engine::force_dense() noexcept { return g_force_dense; }
 void Engine::set_force_threads(std::size_t threads) noexcept {
   g_force_threads = threads;
-}
-void Engine::set_force_pin(bool on) noexcept { g_force_pin = on; }
-bool Engine::force_pin() noexcept { return g_force_pin; }
-void Engine::set_global_recorder(obs::TraceRecorder* rec) noexcept {
-  g_global_recorder = rec;
-}
-obs::TraceRecorder* Engine::global_recorder() noexcept {
-  return g_global_recorder;
-}
-void Engine::set_global_fault_plan(const FaultPlan* plan) noexcept {
-  g_global_fault_plan = plan;
-}
-const FaultPlan* Engine::global_fault_plan() noexcept {
-  return g_global_fault_plan;
 }
 
 // --- NodeContext -----------------------------------------------------------
@@ -120,22 +99,22 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     : graph_(g), protocols_(std::move(protocols)), options_(options) {
   util::check(protocols_.size() == g.node_count(),
               "Engine: need one protocol per node");
-  dense_ = options_.dense_fallback || g_force_dense;
-  recorder_ = options_.recorder != nullptr ? options_.recorder
-                                           : g_global_recorder;
+  const RunEnv& env = options_.env;
+  dense_ = env.dense;
+  recorder_ = env.recorder;
   const NodeId n = g.node_count();
 
-  // Satellite fix: resolve the pool exactly once, here, instead of lazily
-  // re-checking on every phase call.
+  // Resolve the pool exactly once, here, instead of lazily re-checking on
+  // every phase call.
   const std::size_t threads =
-      g_force_threads != kNoThreadOverride ? g_force_threads : options_.threads;
+      g_force_threads != kNoThreadOverride ? g_force_threads : env.threads;
   if (threads > 0) {
     own_pool_ = std::make_unique<util::ThreadPool>(threads);
     pool_ = own_pool_.get();
   } else {
     pool_ = &util::ThreadPool::global();
   }
-  if (options_.pin_threads || g_force_pin) pool_->pin_threads();
+  if (env.pin) pool_->pin_threads();
 
   link_base_.resize(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {
@@ -158,18 +137,15 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     }
   }
 
-  const FaultPlan* plan =
-      options_.faults != nullptr ? options_.faults : g_global_fault_plan;
-  if (plan != nullptr && plan->enabled()) {
+  if (env.faults != nullptr && env.faults->enabled()) {
     std::vector<NodeId> link_from(links);
     for (NodeId u = 0; u < n; ++u) {
       for (std::size_t s = link_base_[u]; s < link_base_[u + 1]; ++s) {
         link_from[s] = u;
       }
     }
-    faults_ =
-        std::make_unique<FaultPlane>(*plan, n, std::move(link_from),
-                                     link_target_);
+    faults_ = std::make_unique<FaultPlane>(*env.faults, n,
+                                           std::move(link_from), link_target_);
   }
 
   if (!dense_) {

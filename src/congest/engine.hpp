@@ -27,8 +27,8 @@
 // is non-empty.  `Engine::run` additionally fast-forwards the round counter
 // across provably silent gaps.  Round/message/congestion statistics are
 // bit-identical to the dense schedule (see docs/PERF.md for the argument);
-// `EngineOptions::dense_fallback` keeps the exhaustive all-nodes-per-round
-// path as the correctness oracle.
+// `RunEnv::dense` keeps the exhaustive all-nodes-per-round path as the
+// correctness oracle.
 //
 // Termination: the engine stops at `max_rounds`, or earlier when no message
 // is in flight and every protocol reports `quiescent()` -- i.e. it would
@@ -142,6 +142,37 @@ class Protocol {
   virtual Round next_send_round(Round now) const { return now + 1; }
 };
 
+/// Where one run executes and who observes it.  A caller passes one value
+/// down to every engine its run builds (solver entry points take it as a
+/// params field or a trailing argument), so concurrent runs never see each
+/// other's threads, schedule, recorder or fault plan.
+struct RunEnv {
+  /// Worker threads for node execution; 0 = use the process-global pool.
+  /// Results are bit-identical for every value (tested).
+  std::size_t threads = 0;
+  /// Pin the resolved pool's worker threads round-robin across CPUs
+  /// (Linux-only; a no-op elsewhere).  Pure scheduling hint: results are
+  /// bit-identical with pinning on or off.
+  bool pin = false;
+  /// Run every node every round (the original exhaustive schedule) instead
+  /// of the sparse active-set scheduler.  Kept as the correctness oracle:
+  /// stats and protocol outcomes are bit-identical either way (tested).
+  bool dense = false;
+  /// Optional per-round trace recorder (not owned; must outlive the run).
+  /// Receives one event per executed round -- message count, top-K link
+  /// congestion, phase wall-clock -- and one event per fast-forwarded gap;
+  /// see obs/trace.hpp.  Null (the default) costs nothing: deterministic
+  /// stats and solver outputs are identical with the recorder on or off
+  /// (tested).
+  obs::TraceRecorder* recorder = nullptr;
+  /// Optional fault plan (not owned; must outlive the run).  Null, or a
+  /// plan with no fault enabled, costs nothing: the engine never constructs
+  /// the fault plane and the delivery path is the pre-fault code, so outputs
+  /// and RunStats are bit-identical to a faultless build (tested).  See
+  /// congest/faults.hpp for semantics.
+  const FaultPlan* faults = nullptr;
+};
+
 struct EngineOptions {
   Round max_rounds = 1'000'000;
   bool stop_on_quiescence = true;
@@ -152,30 +183,7 @@ struct EngineOptions {
   /// *content*.  Seeded per (receiver, round), so runs stay reproducible.
   bool scramble_inbox = false;
   std::uint64_t scramble_seed = 0x5eed;
-  /// Worker threads for node execution; 0 = use the process-global pool.
-  /// Results are bit-identical for every value (tested).
-  std::size_t threads = 0;
-  /// Pin the resolved pool's worker threads round-robin across CPUs
-  /// (Linux-only; a no-op elsewhere).  Pure scheduling hint: results are
-  /// bit-identical with pinning on or off.
-  bool pin_threads = false;
-  /// Optional per-round trace recorder (not owned; must outlive the
-  /// engine).  Receives one event per executed round -- message count,
-  /// top-K link congestion, phase wall-clock -- and one event per
-  /// fast-forwarded gap; see obs/trace.hpp.  Null (the default) costs
-  /// nothing: deterministic stats and solver outputs are identical with
-  /// the recorder on or off (tested).
-  obs::TraceRecorder* recorder = nullptr;
-  /// Run every node every round (the original exhaustive schedule) instead
-  /// of the sparse active-set scheduler.  Kept as the correctness oracle:
-  /// stats and protocol outcomes are bit-identical either way (tested).
-  bool dense_fallback = false;
-  /// Optional fault plan (not owned; must outlive the engine).  Null, or a
-  /// plan with no fault enabled, costs nothing: the engine never constructs
-  /// the fault plane and the delivery path is the pre-fault code, so outputs
-  /// and RunStats are bit-identical to a faultless build (tested).  See
-  /// congest/faults.hpp for semantics.
-  const FaultPlan* faults = nullptr;
+  RunEnv env{};
 };
 
 /// The engine's concrete per-node Context.  One instance per node lives for
@@ -234,35 +242,14 @@ class Engine {
   const RunStats& stats() const noexcept { return stats_; }
   Round current_round() const noexcept { return round_; }
 
-  /// Process-wide overrides for equivalence tests and A/B benches: force
-  /// every subsequently constructed engine onto the dense fallback path
-  /// and/or a fixed thread count, regardless of its EngineOptions.  Set them
-  /// before constructing engines (they are latched in the constructor);
-  /// kNoThreadOverride clears the thread override.
+  /// Benchmark shim, the one process-wide setting left: every engine
+  /// constructed afterwards runs on `threads` worker threads whatever its
+  /// RunEnv says; kNoThreadOverride clears it.  It exists only because
+  /// perfbench's congest_apsp workload, which predates RunEnv, calls it
+  /// before build_oracle.  Nothing else may call it.
   static constexpr std::size_t kNoThreadOverride =
       std::numeric_limits<std::size_t>::max();
-  static void set_force_dense(bool on) noexcept;
-  static bool force_dense() noexcept;
   static void set_force_threads(std::size_t threads) noexcept;
-  /// Force worker pinning for every subsequently constructed engine (how the
-  /// CLI's --pin flag reaches engines built deep inside the solvers).
-  static void set_force_pin(bool on) noexcept;
-  static bool force_pin() noexcept;
-
-  /// Process-wide trace recorder, latched by every subsequently constructed
-  /// engine whose options carry no recorder of their own.  This is how the
-  /// CLI's --trace flag observes engines built deep inside the solvers
-  /// without threading a pointer through every call chain; null clears it.
-  /// Same single-threaded-setup contract as the force_* overrides.
-  static void set_global_recorder(obs::TraceRecorder* rec) noexcept;
-  static obs::TraceRecorder* global_recorder() noexcept;
-
-  /// Process-wide fault plan, latched by every subsequently constructed
-  /// engine whose options carry no plan of their own -- how the CLI's
-  /// --faults flag reaches engines built deep inside the solvers.  Null
-  /// clears it; same single-threaded-setup contract as the overrides above.
-  static void set_global_fault_plan(const FaultPlan* plan) noexcept;
-  static const FaultPlan* global_fault_plan() noexcept;
 
   /// Heap bytes currently reserved by the reusable message plane (outbox
   /// columns, inboxes, scheduler and accounting scratch).  All of it is
@@ -322,9 +309,9 @@ class Engine {
   std::vector<std::unique_ptr<Protocol>> protocols_;
   EngineOptions options_;
   bool dense_ = false;
-  obs::TraceRecorder* recorder_ = nullptr;  // latched in ctor, may be global
-  /// Constructed only when an enabled plan was attached (options or global);
-  /// every fault branch in the engine is guarded on this being non-null.
+  obs::TraceRecorder* recorder_ = nullptr;  // options_.env.recorder
+  /// Constructed only when an enabled plan was attached; every fault branch
+  /// in the engine is guarded on this being non-null.
   std::unique_ptr<FaultPlane> faults_;
   obs::TraceEvent* trace_event_ = nullptr;  // this round's slot, if recording
   std::unique_ptr<util::ThreadPool> own_pool_;  // when an explicit count is set

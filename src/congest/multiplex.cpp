@@ -152,7 +152,8 @@ bool MultiplexProtocol::quiescent() const {
 MultiplexResult run_multiplexed(
     const Graph& g, std::size_t instances, const InstanceFactory& make,
     Round max_rounds,
-    const std::function<void(NodeId, MultiplexProtocol&)>& accessor) {
+    const std::function<void(NodeId, MultiplexProtocol&)>& accessor,
+    const RunEnv& env) {
   const NodeId n = g.node_count();
   std::vector<std::unique_ptr<Protocol>> procs;
   procs.reserve(n);
@@ -164,6 +165,7 @@ MultiplexResult run_multiplexed(
   }
   EngineOptions opt;
   opt.max_rounds = max_rounds;
+  opt.env = env;
   Engine engine(g, std::move(procs), opt);
 
   MultiplexResult res;

@@ -81,6 +81,7 @@ struct MultiplexResult {
 MultiplexResult run_multiplexed(
     const graph::Graph& g, std::size_t instances, const InstanceFactory& make,
     Round max_rounds,
-    const std::function<void(NodeId, MultiplexProtocol&)>& accessor = {});
+    const std::function<void(NodeId, MultiplexProtocol&)>& accessor = {},
+    const RunEnv& env = {});
 
 }  // namespace dapsp::congest

@@ -297,7 +297,8 @@ void accumulate(RunStats* into, const RunStats& phase) {
 
 }  // namespace
 
-BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats) {
+BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats,
+                       const RunEnv& env) {
   const NodeId n = g.node_count();
   std::vector<std::unique_ptr<Protocol>> procs;
   procs.reserve(n);
@@ -305,6 +306,7 @@ BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats) {
     procs.push_back(std::make_unique<BfsProtocol>(root, v));
   }
   EngineOptions opt;
+  opt.env = env;
   opt.max_rounds = static_cast<Round>(n) + 2;
   Engine engine(g, std::move(procs), opt);
   accumulate(stats, engine.run());
@@ -327,7 +329,8 @@ BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats) {
 
 std::vector<std::vector<std::int64_t>> broadcast_values(
     const Graph& g, const BfsTree& tree,
-    const std::vector<std::int64_t>& values, RunStats* stats) {
+    const std::vector<std::int64_t>& values, RunStats* stats,
+    const RunEnv& env) {
   const NodeId n = g.node_count();
   if (values.empty()) return std::vector<std::vector<std::int64_t>>(n);
   std::vector<std::unique_ptr<Protocol>> procs;
@@ -337,6 +340,7 @@ std::vector<std::vector<std::int64_t>> broadcast_values(
         tree, v, v == tree.root ? &values : nullptr));
   }
   EngineOptions opt;
+  opt.env = env;
   opt.max_rounds = static_cast<Round>(values.size()) + tree.height + 4;
   Engine engine(g, std::move(procs), opt);
   accumulate(stats, engine.run());
@@ -353,7 +357,8 @@ std::vector<std::vector<std::int64_t>> broadcast_values(
 
 std::pair<std::int64_t, NodeId> converge_max(
     const Graph& g, const BfsTree& tree,
-    const std::vector<std::int64_t>& value_per_node, RunStats* stats) {
+    const std::vector<std::int64_t>& value_per_node, RunStats* stats,
+    const RunEnv& env) {
   const NodeId n = g.node_count();
   std::vector<std::unique_ptr<Protocol>> procs;
   procs.reserve(n);
@@ -362,6 +367,7 @@ std::pair<std::int64_t, NodeId> converge_max(
         std::make_unique<ConvergeMaxProtocol>(tree, v, value_per_node[v]));
   }
   EngineOptions opt;
+  opt.env = env;
   opt.max_rounds = static_cast<Round>(tree.height) + 4;
   Engine engine(g, std::move(procs), opt);
   accumulate(stats, engine.run());
@@ -375,7 +381,7 @@ std::pair<std::int64_t, NodeId> converge_max(
 std::vector<GatherItem> gather_to_all(
     const Graph& g, const BfsTree& tree,
     const std::vector<std::vector<GatherItem>>& items_per_node,
-    RunStats* stats) {
+    RunStats* stats, const RunEnv& env) {
   const NodeId n = g.node_count();
   std::size_t total = 0;
   for (const auto& items : items_per_node) total += items.size();
@@ -386,6 +392,7 @@ std::vector<GatherItem> gather_to_all(
     procs.push_back(std::make_unique<GatherProtocol>(tree, v, items_per_node[v]));
   }
   EngineOptions opt;
+  opt.env = env;
   opt.max_rounds = static_cast<Round>(total) + 2ULL * tree.height + 8;
   Engine engine(g, std::move(procs), opt);
   accumulate(stats, engine.run());
@@ -405,7 +412,7 @@ std::vector<GatherItem> gather_to_all(
     flat.push_back(it.a);
     flat.push_back(it.b);
   }
-  const auto copies = broadcast_values(g, tree, flat, stats);
+  const auto copies = broadcast_values(g, tree, flat, stats, env);
   (void)copies;
   return all;
 }

@@ -2,7 +2,8 @@
 // BFS spanning tree construction, pipelined broadcast, convergecast max, and
 // gather-to-all.  Each primitive runs its own engine over the communication
 // graph and returns results plus the rounds consumed, so drivers can chain
-// phases and add up stats exactly as the paper composes its steps.
+// phases and add up stats exactly as the paper composes its steps.  Each
+// takes the caller's RunEnv and hands it to its engine.
 #pragma once
 
 #include <cstdint>
@@ -30,14 +31,15 @@ struct BfsTree {
 /// Builds a BFS tree from `root` by flooding; O(D) rounds.  If `stats` is
 /// non-null the phase's rounds/messages are accumulated into it.
 BfsTree build_bfs_tree(const graph::Graph& g, NodeId root,
-                       RunStats* stats = nullptr);
+                       RunStats* stats = nullptr, const RunEnv& env = {});
 
 /// Pipelined broadcast of `values` (held by the root) down `tree`; every node
 /// ends up with the full vector, in |values| + height + O(1) rounds.
 /// Returns the per-node received copies (index 0 is the root's own copy).
 std::vector<std::vector<std::int64_t>> broadcast_values(
     const graph::Graph& g, const BfsTree& tree,
-    const std::vector<std::int64_t>& values, RunStats* stats = nullptr);
+    const std::vector<std::int64_t>& values, RunStats* stats = nullptr,
+    const RunEnv& env = {});
 
 /// Convergecast maximum: each node contributes (value, id); the root learns
 /// the maximum value and the smallest id achieving it, in height + O(1)
@@ -45,7 +47,7 @@ std::vector<std::vector<std::int64_t>> broadcast_values(
 std::pair<std::int64_t, NodeId> converge_max(
     const graph::Graph& g, const BfsTree& tree,
     const std::vector<std::int64_t>& value_per_node,
-    RunStats* stats = nullptr);
+    RunStats* stats = nullptr, const RunEnv& env = {});
 
 /// Gathers every node's items to the root (pipelined up the tree) and then
 /// broadcasts the concatenation to everyone: each node ends with the full
@@ -61,6 +63,6 @@ struct GatherItem {
 std::vector<GatherItem> gather_to_all(
     const graph::Graph& g, const BfsTree& tree,
     const std::vector<std::vector<GatherItem>>& items_per_node,
-    RunStats* stats = nullptr);
+    RunStats* stats = nullptr, const RunEnv& env = {});
 
 }  // namespace dapsp::congest

@@ -140,7 +140,7 @@ struct ReliableResult {
 
 /// Runs every node's inner protocol behind a ReliableTransport to
 /// quiescence (or `options.max_rounds`).  Attach a FaultPlan through
-/// `options.faults` to exercise the transport; `accessor`, if given, is
+/// `options.env.faults` to exercise the transport; `accessor`, if given, is
 /// called per node with the finished transport so callers can read inner
 /// protocol results.
 ReliableResult run_reliable(

@@ -20,7 +20,7 @@ ApproxApspResult approx_apsp(const Graph& g, ApproxApspParams params) {
   res.paper_bound = bounds::approx_apsp(n, params.eps);
 
   // Step 1: zero-weight reachability (exact distance 0 for those pairs).
-  const auto zero = baseline::zero_reach_congest(g, &res.stats);
+  const auto zero = baseline::zero_reach_congest(g, &res.stats, params.env);
 
   // Step 2: lifted weights w' (computed locally by each node; no rounds).
   const auto n2 = static_cast<Weight>(n) * n;
@@ -55,6 +55,7 @@ ApproxApspResult approx_apsp(const Graph& g, ApproxApspParams params) {
     };
     // Paths of lifted weight <= 2^{i+1} have rounded weight <= 2K + n.
     pa.distance_cap = 2 * K + n;
+    pa.env = params.env;
     const auto run = baseline::positive_apsp(g, std::move(pa));
     res.stats += run.stats;
 

@@ -18,7 +18,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "graph/graph.hpp"
 
 namespace dapsp::core {
@@ -28,6 +28,7 @@ using graph::Weight;
 
 struct ApproxApspParams {
   double eps = 0.5;  ///< must satisfy eps > 3/n for the paper's guarantee
+  congest::RunEnv env{};
 };
 
 struct ApproxApspResult {

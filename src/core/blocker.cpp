@@ -17,6 +17,7 @@ using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::RunEnv;
 using congest::RunStats;
 using graph::Graph;
 using graph::kNoNode;
@@ -240,7 +241,7 @@ ScoreMatrix init_scores_sequential(const CsspCollection& cssp) {
 }
 
 ScoreMatrix init_scores_distributed(const Graph& g, const CsspCollection& cssp,
-                                    RunStats* stats) {
+                                    RunStats* stats, const RunEnv& env) {
   const NodeId n = g.node_count();
   std::vector<std::unique_ptr<Protocol>> procs;
   procs.reserve(n);
@@ -249,6 +250,7 @@ ScoreMatrix init_scores_distributed(const Graph& g, const CsspCollection& cssp,
   }
   EngineOptions opt;
   opt.max_rounds = cssp.h + cssp.sources.size() + 2;
+  opt.env = env;
   Engine engine(g, std::move(procs), opt);
   const RunStats phase = engine.run();
   if (stats != nullptr) *stats += phase;
@@ -262,16 +264,17 @@ ScoreMatrix init_scores_distributed(const Graph& g, const CsspCollection& cssp,
 }
 
 BlockerSetResult compute_blocker_set(const Graph& g,
-                                     const CsspCollection& cssp) {
+                                     const CsspCollection& cssp,
+                                     const RunEnv& env) {
   const NodeId n = g.node_count();
   const std::size_t k = cssp.sources.size();
   BlockerSetResult res;
   res.size_bound = bounds::blocker_set_size(n, cssp.h);
 
-  ScoreMatrix scores = init_scores_distributed(g, cssp, &res.stats);
+  ScoreMatrix scores = init_scores_distributed(g, cssp, &res.stats, env);
   res.score_init_rounds = res.stats.rounds;
 
-  const BfsTree tree = congest::build_bfs_tree(g, 0, &res.stats);
+  const BfsTree tree = congest::build_bfs_tree(g, 0, &res.stats, env);
 
   while (true) {
     // Select the node covering the most uncovered h-paths.
@@ -281,10 +284,11 @@ BlockerSetResult compute_blocker_set(const Graph& g,
       for (std::size_t i = 0; i < k; ++i) t += scores[v][i];
       totals[v] = static_cast<std::int64_t>(t);
     }
-    const auto [best, c] = congest::converge_max(g, tree, totals, &res.stats);
+    const auto [best, c] =
+        congest::converge_max(g, tree, totals, &res.stats, env);
     if (best == 0) break;
     congest::broadcast_values(g, tree, {static_cast<std::int64_t>(c)},
-                              &res.stats);
+                              &res.stats, env);
     res.blockers.push_back(c);
 
     // Snapshot c's nonzero per-tree scores; both update phases consume it.
@@ -303,6 +307,7 @@ BlockerSetResult compute_blocker_set(const Graph& g,
       }
       EngineOptions opt;
       opt.max_rounds = phase_rounds;
+      opt.env = env;
       Engine engine(g, std::move(procs), opt);
       const RunStats phase = engine.run();
       res.update_congestion =
@@ -320,6 +325,7 @@ BlockerSetResult compute_blocker_set(const Graph& g,
       }
       EngineOptions opt;
       opt.max_rounds = phase_rounds;
+      opt.env = env;
       Engine engine(g, std::move(procs), opt);
       const RunStats phase = engine.run();
       res.update_congestion =

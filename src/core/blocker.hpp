@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "congest/primitives.hpp"
 #include "core/cssp.hpp"
 #include "graph/graph.hpp"
@@ -31,7 +31,8 @@ using ScoreMatrix = std::vector<std::vector<std::uint64_t>>;
 /// Phase A: distributed pipelined score initialization (h + k + 1 rounds).
 ScoreMatrix init_scores_distributed(const graph::Graph& g,
                                     const CsspCollection& cssp,
-                                    congest::RunStats* stats);
+                                    congest::RunStats* stats,
+                                    const congest::RunEnv& env = {});
 
 /// Sequential oracle for the same quantity (tests).
 ScoreMatrix init_scores_sequential(const CsspCollection& cssp);
@@ -52,7 +53,8 @@ struct BlockerSetResult {
 /// Greedy blocker set over the CSSSP collection.  Runs entirely as CONGEST
 /// phases (score init, convergecast max, broadcast, pipelined updates).
 BlockerSetResult compute_blocker_set(const graph::Graph& g,
-                                     const CsspCollection& cssp);
+                                     const CsspCollection& cssp,
+                                     const congest::RunEnv& env = {});
 
 /// Sequential validation: true iff every depth-h leaf's root path contains a
 /// blocker (Definition III.1).

@@ -122,7 +122,8 @@ class ParentFixupProtocol final : public congest::Protocol {
 
 /// Runs the fix-up phase over the final distance matrix in `res`,
 /// overwriting res.parent rows for reachable non-source nodes.
-RunStats run_parent_fixup(const Graph& g, BlockerApspResult& res) {
+RunStats run_parent_fixup(const Graph& g, BlockerApspResult& res,
+                          const congest::RunEnv& env) {
   const NodeId n = g.node_count();
   const std::size_t k = res.sources.size();
   std::vector<std::int32_t> source_of(n, -1);
@@ -141,6 +142,7 @@ RunStats run_parent_fixup(const Graph& g, BlockerApspResult& res) {
   }
   congest::EngineOptions opt;
   opt.max_rounds = static_cast<congest::Round>(k) + n + 2;
+  opt.env = env;
   congest::Engine engine(g, std::move(procs), opt);
   const RunStats stats = engine.run();
   for (NodeId v = 0; v < n; ++v) {
@@ -186,12 +188,13 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
   res.h = params.h;
 
   // Step 1: CSSSP (Algorithm 1 with hop bound 2h + child notification).
-  CsspCollection cssp = build_cssp(g, params.sources, params.h, params.delta2h);
+  CsspCollection cssp =
+      build_cssp(g, params.sources, params.h, params.delta2h, params.env);
   res.stats += cssp.stats;
   res.cssp_rounds = cssp.stats.rounds;
 
   // Step 2: blocker set.
-  BlockerSetResult bs = compute_blocker_set(g, cssp);
+  BlockerSetResult bs = compute_blocker_set(g, cssp, params.env);
   res.blockers = bs.blockers;
   res.stats += bs.stats;
   res.blocker_rounds = bs.stats.rounds;
@@ -203,11 +206,13 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
   std::vector<std::vector<Weight>> to_blocker(q);    // dist(v, c), known at v
   RunStats sssp_stats;
   for (std::size_t j = 0; j < q; ++j) {
-    auto fwd = baseline::bf_sssp(g, res.blockers[j]);
+    auto fwd = baseline::bf_sssp(g, res.blockers[j], /*reverse=*/false,
+                                 /*max_rounds=*/0, params.env);
     sssp_stats += fwd.stats;
     from_blocker[j] = std::move(fwd.dist);
     from_blocker_parent[j] = std::move(fwd.parent);
-    auto rev = baseline::bf_sssp(g, res.blockers[j], /*reverse=*/true);
+    auto rev = baseline::bf_sssp(g, res.blockers[j], /*reverse=*/true,
+                                 /*max_rounds=*/0, params.env);
     sssp_stats += rev.stats;
     to_blocker[j] = std::move(rev.dist);
   }
@@ -216,7 +221,8 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
 
   // Step 4: every source x announces dist(x, c) for each blocker c.
   RunStats combine_stats;
-  const congest::BfsTree tree = congest::build_bfs_tree(g, 0, &combine_stats);
+  const congest::BfsTree tree =
+      congest::build_bfs_tree(g, 0, &combine_stats, params.env);
   std::vector<std::vector<GatherItem>> items(n);
   for (std::size_t i = 0; i < k; ++i) {
     const NodeId x = params.sources[i];
@@ -227,7 +233,7 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
     }
   }
   const std::vector<GatherItem> announced =
-      congest::gather_to_all(g, tree, items, &combine_stats);
+      congest::gather_to_all(g, tree, items, &combine_stats, params.env);
   res.stats += combine_stats;
   res.combine_rounds = combine_stats.rounds;
 
@@ -272,7 +278,7 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
   // broadcasts its final distance from source i and receivers adopt the
   // smallest-id neighbor whose announced distance extends to their own.
   {
-    const RunStats fix = run_parent_fixup(g, res);
+    const RunStats fix = run_parent_fixup(g, res, params.env);
     res.stats += fix;
     res.combine_rounds += fix.rounds;
   }

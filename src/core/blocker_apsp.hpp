@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "core/cssp.hpp"
 #include "graph/graph.hpp"
 
@@ -33,6 +33,7 @@ struct BlockerApspParams {
   Weight delta_for_h = 0;
   /// Bound on 2h-hop shortest path distances; 0 = use 2h * max edge weight.
   Weight delta2h = 0;
+  congest::RunEnv env{};
 };
 
 struct BlockerApspResult {

@@ -187,7 +187,8 @@ class ChildNotifyProtocol final : public Protocol {
 }  // namespace
 
 CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
-                          std::uint32_t h, Weight delta2h) {
+                          std::uint32_t h, Weight delta2h,
+                          const congest::RunEnv& env) {
   util::check(h >= 1, "build_cssp: need h >= 1");
   CsspCollection c;
   c.h = h;
@@ -197,6 +198,7 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
   params.sources = sources;
   params.h = 2 * h;
   params.delta = delta2h;
+  params.env = env;
   KsspResult run = pipelined_kssp(g, std::move(params));
   c.sources = run.sources;
   c.stats = run.stats;
@@ -228,6 +230,7 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
     }
     EngineOptions opt;
     opt.max_rounds = 2 * k + h + 4;
+    opt.env = env;
     Engine engine(g, std::move(procs), opt);
     c.stats += engine.run();
 
@@ -255,6 +258,7 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
   }
   EngineOptions opt;
   opt.max_rounds = static_cast<Round>(k) + 2;
+  opt.env = env;
   Engine engine(g, std::move(procs), opt);
   c.stats += engine.run();
 

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "core/pipelined_ssp.hpp"
 #include "graph/graph.hpp"
 
@@ -55,6 +55,6 @@ struct CsspCollection {
 /// graph::max_finite_hop_distance).
 CsspCollection build_cssp(const graph::Graph& g,
                           const std::vector<NodeId>& sources, std::uint32_t h,
-                          Weight delta2h);
+                          Weight delta2h, const congest::RunEnv& env = {});
 
 }  // namespace dapsp::core

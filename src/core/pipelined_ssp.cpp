@@ -461,6 +461,7 @@ KsspResult pipelined_kssp(const Graph& g, PipelinedParams params) {
       static_cast<double>(bound) * std::max(1.0, params.round_budget_factor));
   opt.scramble_inbox = params.scramble_inbox;
   opt.record_per_round = params.record_per_round;
+  opt.env = params.env;
   Engine engine(g, std::move(procs), opt);
 
   KsspResult res;
@@ -489,21 +490,24 @@ KsspResult pipelined_kssp(const Graph& g, PipelinedParams params) {
   return res;
 }
 
-KsspResult pipelined_apsp(const Graph& g, Weight delta) {
+KsspResult pipelined_apsp(const Graph& g, Weight delta,
+                          const congest::RunEnv& env) {
   PipelinedParams params;
   params.sources.resize(g.node_count());
   for (NodeId v = 0; v < g.node_count(); ++v) params.sources[v] = v;
   params.h = g.node_count() > 1 ? g.node_count() - 1 : 1;
   params.delta = delta;
+  params.env = env;
   return pipelined_kssp(g, std::move(params));
 }
 
 KsspResult pipelined_kssp_full(const Graph& g, std::vector<NodeId> sources,
-                               Weight delta) {
+                               Weight delta, const congest::RunEnv& env) {
   PipelinedParams params;
   params.sources = std::move(sources);
   params.h = g.node_count() > 1 ? g.node_count() - 1 : 1;
   params.delta = delta;
+  params.env = env;
   return pipelined_kssp(g, std::move(params));
 }
 

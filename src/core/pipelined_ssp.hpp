@@ -48,6 +48,7 @@ struct PipelinedParams {
   /// Record per-round message counts into stats.per_round_messages (the
   /// "pipeline wave"; used by the E4 bench).
   bool record_per_round = false;
+  congest::RunEnv env{};
 
   /// Fills gamma with the paper's value if unset and validates ranges.
   void finalize(const graph::Graph& g);
@@ -88,11 +89,13 @@ KsspResult pipelined_kssp(const graph::Graph& g, PipelinedParams params);
 /// Theorem I.1(ii): APSP via Algorithm 1 with all n sources and h = n-1.
 /// `delta` is the max shortest-path distance (pass the graph's true Delta,
 /// e.g. from graph::max_finite_distance).
-KsspResult pipelined_apsp(const graph::Graph& g, Weight delta);
+KsspResult pipelined_apsp(const graph::Graph& g, Weight delta,
+                          const congest::RunEnv& env = {});
 
 /// Theorem I.1(iii): full (unbounded-hop) k-SSP via Algorithm 1 with
 /// h = n-1, in 2*sqrt(n*k*Delta) + n + k rounds.
 KsspResult pipelined_kssp_full(const graph::Graph& g,
-                               std::vector<NodeId> sources, Weight delta);
+                               std::vector<NodeId> sources, Weight delta,
+                               const congest::RunEnv& env = {});
 
 }  // namespace dapsp::core

@@ -134,7 +134,8 @@ ScaledApspResult scaled_hhop_apsp(const Graph& g, ScaledApspParams params) {
           res.dist[s][v] = inst.dist();
           res.hops[s][v] = inst.hops();
         }
-      });
+      },
+      params.env);
   res.stats = mux.stats;
   res.max_queue_depth = mux.max_queue_depth;
   return res;

@@ -12,7 +12,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "core/key.hpp"
 #include "graph/graph.hpp"
 
@@ -23,6 +23,7 @@ struct ScaledApspParams {
   Weight delta = 0;     ///< distance bound (for the budget formula)
   /// Per-instance key schedule; default sqrt(h) as in Algorithm 2.
   GammaSq gamma{0, 0};
+  congest::RunEnv env{};
 };
 
 struct ScaledApspResult {

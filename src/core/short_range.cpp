@@ -214,6 +214,7 @@ ShortRangeResult short_range(const Graph& g, ShortRangeParams params) {
   opt.max_rounds = static_cast<Round>(
       static_cast<double>(res.dilation_bound) *
       std::max(1.0, params.round_budget_factor));
+  opt.env = params.env;
   Engine engine(g, std::move(procs), opt);
   res.stats = engine.run();
 

@@ -17,7 +17,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "core/key.hpp"
 #include "graph/graph.hpp"
 
@@ -35,6 +35,7 @@ struct ShortRangeParams {
   /// short-range initialization (0 at the source only).
   std::vector<std::vector<Weight>> initial;
   double round_budget_factor = 1.0;
+  congest::RunEnv env{};
 
   void finalize(const graph::Graph& g);
 };

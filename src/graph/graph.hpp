@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -110,7 +111,10 @@ class Graph {
 /// graph, `add_edge(u,v,w)` creates both arcs.
 class GraphBuilder {
  public:
-  GraphBuilder(NodeId n, bool directed) : n_(n), directed_(directed) {}
+  /// Throws std::logic_error for n = kNoNode: n + 1 CSR offsets would wrap.
+  GraphBuilder(NodeId n, bool directed) : n_(n), directed_(directed) {
+    if (n == kNoNode) throw std::logic_error("GraphBuilder: too many nodes");
+  }
 
   NodeId node_count() const noexcept { return n_; }
   bool directed() const noexcept { return directed_; }

@@ -2,9 +2,9 @@
 //
 // The engine's RunStats are scalar maxima -- enough to check a theorem's
 // round bound, not enough to see *where* congestion or wall-clock went.
-// A TraceRecorder (opt-in via EngineOptions::recorder, or process-wide via
-// Engine::set_global_recorder for the CLI's --trace flag) receives one
-// event per executed round: message count, active sender/receiver counts,
+// A TraceRecorder (opt-in via RunEnv::recorder, which a run hands to every
+// engine it builds; the CLI's --trace flag sets it) receives one event per
+// executed round: message count, active sender/receiver counts,
 // the top-K most loaded links, and per-phase wall-clock.  Fast-forwarded
 // silent gaps are recorded as explicit gap events so the exported timeline
 // is gap-free in *round* terms while paying nothing for skipped rounds.

@@ -111,6 +111,16 @@ struct Reader {
     return v;
   }
   std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  /// A u32 count of elements of at least `bytes_each` bytes; 0 and !ok when
+  /// the rest of the payload cannot hold them, before anyone reserves them.
+  std::uint32_t count(std::size_t bytes_each) {
+    const std::uint32_t n = u32();
+    if (!ok || n > (len - pos) / bytes_each) {
+      ok = false;
+      return 0;
+    }
+    return n;
+  }
   std::string bytes(std::size_t n) {
     if (!need(n)) return {};
     std::string out(reinterpret_cast<const char*>(p + pos), n);
@@ -163,7 +173,7 @@ void put_route(std::string& p, const query::Route& rt) {
 query::Route read_route(Reader& r) {
   query::Route rt;
   rt.weight = r.i64();
-  const std::uint32_t len = r.u32();
+  const std::uint32_t len = r.count(4);
   rt.nodes.reserve(len);
   for (std::uint32_t i = 0; r.ok && i < len; ++i) rt.nodes.push_back(r.u32());
   return rt;
@@ -336,7 +346,7 @@ std::optional<Response> read_response(std::istream& in) {
   switch (op) {
     case kOpBatchResp: {
       resp.kind = Response::Kind::kBatch;
-      const std::uint32_t count = r.u32();
+      const std::uint32_t count = r.count(6);  // type, status, error length
       resp.results.reserve(count);
       for (std::uint32_t i = 0; r.ok && i < count; ++i) {
         service::QueryResult qr;
@@ -350,7 +360,7 @@ std::optional<Response> read_response(std::istream& in) {
           qr.ok = true;
           qr.dist = r.i64();
           qr.next_hop = r.u32();
-          const std::uint32_t plen = r.u32();
+          const std::uint32_t plen = r.count(4);
           qr.path.reserve(plen);
           for (std::uint32_t j = 0; r.ok && j < plen; ++j) {
             qr.path.push_back(r.u32());
@@ -376,7 +386,7 @@ std::optional<Response> read_response(std::istream& in) {
       resp.kind = Response::Kind::kKPath;
       resp.result.type = service::QueryType::kKPaths;
       if (!read_status(r, &resp.result)) break;
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(12);  // weight, node count
       resp.result.routes.reserve(n);
       for (std::uint32_t i = 0; r.ok && i < n; ++i) {
         resp.result.routes.push_back(read_route(r));
@@ -407,7 +417,7 @@ std::optional<Response> read_response(std::istream& in) {
       g.radius = r.i64();
       g.diameter = r.i64();
       g.reachable_pairs = r.u64();
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(20);
       g.per_source.reserve(n);
       for (std::uint32_t i = 0; r.ok && i < n; ++i) {
         query::SourceReport s;
@@ -422,7 +432,7 @@ std::optional<Response> read_response(std::istream& in) {
       resp.kind = Response::Kind::kBc;
       resp.result.type = service::QueryType::kBetweenness;
       if (!read_status(r, &resp.result)) break;
-      const std::uint32_t n = r.u32();
+      const std::uint32_t n = r.count(8);
       resp.result.centrality.reserve(n);
       for (std::uint32_t i = 0; r.ok && i < n; ++i) {
         resp.result.centrality.push_back(std::bit_cast<double>(r.u64()));

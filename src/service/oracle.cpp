@@ -8,7 +8,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "congest/engine.hpp"
 #include "congest/faults.hpp"
 #include "core/approx_apsp.hpp"
 #include "core/blocker_apsp.hpp"
@@ -225,14 +224,14 @@ void fill_reference_rows(const Graph& g, Table<Weight>& dist,
   }
 }
 
-/// Fault-plan safety net for engine-backed builds: when the process-global
-/// fault plan is active, an unreachable entry in the result may mean the
+/// Fault-plan safety net for engine-backed builds: when the build's fault
+/// plan is active, an unreachable entry in the result may mean the
 /// faults (a crashed cut vertex, unrecovered losses) severed pairs that the
 /// real graph connects -- silently serving kInfDist for them would be a
 /// wrong answer wearing an honest face.  Compare the table's infinite
 /// entries against plain BFS reachability on g and fail loudly on mismatch.
-void check_fault_partition(const Graph& g, const Table<Weight>& dist) {
-  const congest::FaultPlan* plan = congest::Engine::global_fault_plan();
+void check_fault_partition(const Graph& g, const Table<Weight>& dist,
+                           const congest::FaultPlan* plan) {
   if (plan == nullptr || !plan->enabled()) return;
   const NodeId n = g.node_count();
   std::vector<std::uint8_t> seen(n);
@@ -262,35 +261,8 @@ void check_fault_partition(const Graph& g, const Table<Weight>& dist) {
   }
 }
 
-Tables solve(const Graph& g, const OracleBuildOptions& opts);
-
-/// Installs a work-item-recording trace recorder as the process-global
-/// recorder for the duration of one oracle build, so the engines the solver
-/// constructs internally feed the critical-path analyzer.  Only engaged
-/// when no global recorder exists -- an already-installed one (the CLI's
-/// --trace flags) owns the observation and its own export carries the
-/// analysis.  Engine ctors latch the global under the same single-threaded
-/// setup contract as set_global_recorder itself.
-class ScopedBuildRecorder {
- public:
-  explicit ScopedBuildRecorder(bool enabled) {
-    if (!enabled || congest::Engine::global_recorder() != nullptr) return;
-    obs::TraceRecorder::Options ropt;
-    ropt.work_item_capacity = std::size_t{1} << 20;
-    rec_ = std::make_unique<obs::TraceRecorder>(ropt);
-    congest::Engine::set_global_recorder(rec_.get());
-  }
-  ~ScopedBuildRecorder() {
-    if (rec_) congest::Engine::set_global_recorder(nullptr);
-  }
-  ScopedBuildRecorder(const ScopedBuildRecorder&) = delete;
-  ScopedBuildRecorder& operator=(const ScopedBuildRecorder&) = delete;
-
-  const obs::TraceRecorder* recorder() const noexcept { return rec_.get(); }
-
- private:
-  std::unique_ptr<obs::TraceRecorder> rec_;
-};
+Tables solve(const Graph& g, const OracleBuildOptions& opts,
+             const congest::RunEnv& env);
 
 }  // namespace
 
@@ -307,13 +279,21 @@ DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
   util::check(g.node_count() > 0, "build_oracle: empty graph");
   // kReference never touches the engine: no fault plan can have bent it,
   // and there is no round structure for the profiler to observe.
-  const ScopedBuildRecorder profile(opts.critpath &&
-                                    opts.solver != Solver::kReference);
-  Tables t = solve(g, opts);
-  if (opts.solver != Solver::kReference) check_fault_partition(g, t.dist);
-  if (profile.recorder() != nullptr) {
-    t.meta.critpath =
-        obs::summarize(obs::analyze_critical_path(*profile.recorder()));
+  const bool engine_run = opts.solver != Solver::kReference;
+  // A profiled build records into a local recorder unless the caller's
+  // recorder owns the observation (its own export carries the analysis).
+  congest::RunEnv env = opts.env;
+  std::unique_ptr<obs::TraceRecorder> profile;
+  if (opts.critpath && engine_run && env.recorder == nullptr) {
+    obs::TraceRecorder::Options ropt;
+    ropt.work_item_capacity = std::size_t{1} << 20;
+    profile = std::make_unique<obs::TraceRecorder>(ropt);
+    env.recorder = profile.get();
+  }
+  Tables t = solve(g, opts, env);
+  if (engine_run) check_fault_partition(g, t.dist, env.faults);
+  if (profile) {
+    t.meta.critpath = obs::summarize(obs::analyze_critical_path(*profile));
   }
   return DistanceOracle(g.node_count(), std::move(t.dist), std::move(t.next),
                         std::move(t.meta), shards);
@@ -321,12 +301,13 @@ DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
 
 namespace {
 
-Tables solve(const Graph& g, const OracleBuildOptions& opts) {
+Tables solve(const Graph& g, const OracleBuildOptions& opts,
+             const congest::RunEnv& env) {
   const NodeId n = g.node_count();
   switch (opts.solver) {
     case Solver::kPipelined: {
       const Weight delta = graph::max_finite_distance(g);
-      auto res = core::pipelined_apsp(g, delta);
+      auto res = core::pipelined_apsp(g, delta, env);
       return tables_from_parents(
           res.dist, res.parent,
           {"pipelined APSP (Algorithm 1, Thm I.1 ii)", true, res.stats, {}});
@@ -334,6 +315,7 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts) {
     case Solver::kBlocker: {
       core::BlockerApspParams p;
       p.h = opts.h;
+      p.env = env;
       auto res = core::blocker_apsp(g, p);
       return tables_from_parents(res.dist, res.parent,
                                  {"blocker APSP (Algorithm 3, h=" +
@@ -344,6 +326,7 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts) {
       core::ScaledApspParams p;
       p.h = n > 1 ? n - 1 : 1;
       p.delta = graph::max_finite_distance(g);
+      p.env = env;
       auto res = core::scaled_hhop_apsp(g, p);
       Table<NodeId> next = next_hops_from_distances(g, res.dist, res.hops);
       return {flatten(res.dist), std::move(next),
@@ -352,6 +335,7 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts) {
     case Solver::kApprox: {
       core::ApproxApspParams p;
       p.eps = opts.eps;
+      p.env = env;
       auto res = core::approx_apsp(g, p);
       std::ostringstream label;
       label << "approx APSP (Thm I.5, eps=" << opts.eps << ", " << res.scales

@@ -17,7 +17,7 @@
 #include <string>
 #include <vector>
 
-#include "congest/metrics.hpp"
+#include "congest/engine.hpp"
 #include "graph/graph.hpp"
 #include "obs/critpath.hpp"
 #include "service/stats.hpp"
@@ -51,9 +51,12 @@ struct OracleBuildOptions {
   /// Profile the build: record per-(node, round) work items and stamp the
   /// critical-path summary into the oracle's meta (surfaced through
   /// ServiceStats as `critpath`).  Ignored for kReference (no engine run)
-  /// and when a process-global recorder is already installed -- that
-  /// recorder owns the observation and its own export carries the analysis.
+  /// and when `env.recorder` is set -- that recorder owns the observation
+  /// and its own export carries the analysis.
   bool critpath = false;
+  /// Threads, schedule, recorder and fault plan of every engine the solver
+  /// runs (congest::RunEnv).  kReference runs no engine and ignores it.
+  congest::RunEnv env{};
 };
 
 /// Provenance attached by the builders.
@@ -132,7 +135,7 @@ class DistanceOracle {
   const congest::RunStats& build_stats() const noexcept { return meta_.stats; }
   /// Critical-path summary of the producing build; nullptr when the build
   /// was not profiled (OracleBuildOptions::critpath off, reference solver,
-  /// or a process-global recorder owned the observation).
+  /// or the caller's own recorder owned the observation).
   const obs::CritPathSummary* build_critpath() const noexcept {
     return meta_.critpath.empty() ? nullptr : &meta_.critpath;
   }
@@ -224,13 +227,12 @@ inline constexpr char kReferenceLabel[] = "reference (Dijkstra sweep)";
 /// out-neighbor w with w(u,w) + dist(w,v) = dist(u,v), ties broken by fewer
 /// remaining hops (progress across zero-weight plateaus) then smaller id.
 ///
-/// Fault safety: when a process-global fault plan is active
-/// (congest::Engine::set_global_fault_plan) and the solver ran on the
-/// engine, the builder cross-checks the result against BFS reachability on
-/// g and throws std::runtime_error if any truly reachable pair came out
-/// unreachable -- e.g. a crash-stopped cut vertex partitioned the run.  A
-/// faulted build either serves correct reachability or fails loudly; it
-/// never silently serves kInfDist for a connected pair.
+/// Fault safety: when `opts.env.faults` is an active plan and the solver
+/// ran on the engine, the builder cross-checks the result against BFS
+/// reachability on g and throws std::runtime_error if any truly reachable
+/// pair came out unreachable -- e.g. a crash-stopped cut vertex partitioned
+/// the run.  A faulted build either serves correct reachability or fails
+/// loudly; it never silently serves kInfDist for a connected pair.
 DistanceOracle build_oracle(const graph::Graph& g,
                             const OracleBuildOptions& opts = {},
                             std::size_t shards = 1);

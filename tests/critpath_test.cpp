@@ -23,28 +23,30 @@
 namespace dapsp::obs {
 namespace {
 
-using congest::Engine;
+using congest::RunEnv;
 
-/// Restores every process-wide engine override on scope exit.
-struct EngineOverrideGuard {
-  ~EngineOverrideGuard() {
-    Engine::set_global_recorder(nullptr);
-    Engine::set_force_dense(false);
-    Engine::set_force_threads(Engine::kNoThreadOverride);
-  }
-};
-
-/// Runs `run` under a fresh work-item recorder and analyzes it.
+/// Calls `run(env)` with a fresh work-item recorder in `env` and analyzes
+/// what it recorded.
 template <typename Run>
-CritPathReport profiled(Run&& run,
+CritPathReport profiled(Run&& run, RunEnv env = {},
                         std::size_t item_capacity = std::size_t{1} << 20) {
   TraceRecorder::Options opt;
   opt.work_item_capacity = item_capacity;
   TraceRecorder rec(opt);
-  Engine::set_global_recorder(&rec);
-  run();
-  Engine::set_global_recorder(nullptr);
+  env.recorder = &rec;
+  run(env);
   return analyze_critical_path(rec);
+}
+
+/// Bellman-Ford SSSP from node 0 under `env`.
+void sssp(const graph::Graph& g, const RunEnv& env) {
+  baseline::bf_sssp(g, 0, /*reverse=*/false, /*max_rounds=*/0, env);
+}
+
+/// Algorithm 1 with `p` under `env`.
+void kssp(const graph::Graph& g, core::PipelinedParams p, const RunEnv& env) {
+  p.env = env;
+  core::pipelined_kssp(g, std::move(p));
 }
 
 /// The deterministic projection of a chain: everything except the measured
@@ -91,9 +93,7 @@ void expect_well_formed(const CritPathReport& rep) {
 TEST(CritPath, EmptyWithoutWorkItems) {
   TraceRecorder rec;  // default options: no work-item ring
   const graph::Graph g = graph::path(16, {1, 4, 0.0}, 7);
-  Engine::set_global_recorder(&rec);
-  baseline::bf_sssp(g, 0);
-  Engine::set_global_recorder(nullptr);
+  sssp(g, {0, false, false, &rec});
   const CritPathReport rep = analyze_critical_path(rec);
   EXPECT_TRUE(rep.runs.empty());
   EXPECT_EQ(rep.chain_len, 0u);
@@ -101,10 +101,10 @@ TEST(CritPath, EmptyWithoutWorkItems) {
 }
 
 TEST(CritPath, PathSsspChainWalksThePath) {
-  EngineOverrideGuard guard;
   const graph::NodeId n = 256;
   const graph::Graph g = graph::path(n, {1, 4, 0.0}, 11);
-  const CritPathReport rep = profiled([&] { baseline::bf_sssp(g, 0); });
+  const CritPathReport rep =
+      profiled([&](const RunEnv& env) { sssp(g, env); });
   ASSERT_EQ(rep.runs.size(), 1u);
   EXPECT_TRUE(rep.complete());
   EXPECT_FALSE(rep.truncated);
@@ -118,14 +118,14 @@ TEST(CritPath, PathSsspChainWalksThePath) {
 }
 
 TEST(CritPath, AttributionBoundedByWallClock) {
-  EngineOverrideGuard guard;
   const graph::Graph g = graph::path(1024, {1, 4, 0.0}, 11);
   core::PipelinedParams p;
   p.sources = {0};
   p.h = 1023;
   p.delta = graph::max_finite_distance(g);
   const auto t0 = std::chrono::steady_clock::now();
-  const CritPathReport rep = profiled([&] { core::pipelined_kssp(g, p); });
+  const CritPathReport rep =
+      profiled([&](const RunEnv& env) { kssp(g, p, env); });
   const auto wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -141,7 +141,6 @@ TEST(CritPath, AttributionBoundedByWallClock) {
 // The acceptance bar: the extracted chain is bit-identical across thread
 // counts and across the sparse/dense schedulers, like RunStats.
 TEST(CritPath, ChainBitIdenticalAcrossThreadsAndSchedulers) {
-  EngineOverrideGuard guard;
   const graph::NodeId n = 1024;
   const graph::Graph g = graph::path(n, {1, 4, 0.0}, 11);
   core::PipelinedParams p;
@@ -149,9 +148,8 @@ TEST(CritPath, ChainBitIdenticalAcrossThreadsAndSchedulers) {
   p.h = n - 1;
   p.delta = graph::max_finite_distance(g);
 
-  Engine::set_force_dense(false);
-  Engine::set_force_threads(1);
-  const CritPathReport base = profiled([&] { core::pipelined_kssp(g, p); });
+  const auto run = [&](const RunEnv& env) { kssp(g, p, env); };
+  const CritPathReport base = profiled(run, {1, false, false});
   ASSERT_EQ(base.runs.size(), 1u);
   EXPECT_GE(base.chain_len, static_cast<std::uint64_t>(n) / 2);
   const std::vector<DetStep> want = det_chain(base);
@@ -159,10 +157,7 @@ TEST(CritPath, ChainBitIdenticalAcrossThreadsAndSchedulers) {
   for (const bool dense : {false, true}) {
     for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
                                       std::size_t{8}}) {
-      Engine::set_force_dense(dense);
-      Engine::set_force_threads(threads);
-      const CritPathReport rep =
-          profiled([&] { core::pipelined_kssp(g, p); });
+      const CritPathReport rep = profiled(run, {threads, false, dense});
       EXPECT_EQ(rep.chain_len, base.chain_len)
           << "dense=" << dense << " threads=" << threads;
       EXPECT_EQ(rep.total_cost, base.total_cost)
@@ -177,10 +172,9 @@ TEST(CritPath, ChainBitIdenticalAcrossThreadsAndSchedulers) {
 // overwritten; the analysis must cut the chain there and flag it, never
 // follow a stale index.
 TEST(CritPath, RingWrapAroundTruncatesGracefully) {
-  EngineOverrideGuard guard;
   const graph::Graph g = graph::path(256, {1, 4, 0.0}, 11);
-  const CritPathReport rep =
-      profiled([&] { baseline::bf_sssp(g, 0); }, /*item_capacity=*/64);
+  const CritPathReport rep = profiled(
+      [&](const RunEnv& env) { sssp(g, env); }, {}, /*item_capacity=*/64);
   ASSERT_EQ(rep.runs.size(), 1u);
   EXPECT_GT(rep.items_dropped, 0u);
   EXPECT_FALSE(rep.complete());
@@ -196,29 +190,30 @@ TEST(CritPath, RingWrapAroundTruncatesGracefully) {
 // walked it forever.  A wake-reached item participates through its send
 // state only, so the walk must terminate.
 TEST(CritPath, SameRoundMutualWakeTerminates) {
-  EngineOverrideGuard guard;
   // Two sources on a two-node graph: both endpoints send to each other in
   // the same round -- the minimal repro of the cycle.
   const graph::Graph tiny = graph::path(2, {1, 1, 0.0}, 3);
-  const CritPathReport small = profiled(
-      [&] { core::pipelined_apsp(tiny, graph::max_finite_distance(tiny)); });
+  const CritPathReport small = profiled([&](const RunEnv& env) {
+    core::pipelined_apsp(tiny, graph::max_finite_distance(tiny), env);
+  });
   ASSERT_EQ(small.runs.size(), 1u);
   EXPECT_GT(small.chain_len, 0u);
   expect_well_formed(small);
 
   // And at APSP scale, where many such exchanges overlap per round.
   const graph::Graph g = graph::path(48, {1, 4, 0.0}, 11);
-  const CritPathReport rep = profiled(
-      [&] { core::pipelined_apsp(g, graph::max_finite_distance(g)); });
+  const CritPathReport rep = profiled([&](const RunEnv& env) {
+    core::pipelined_apsp(g, graph::max_finite_distance(g), env);
+  });
   ASSERT_EQ(rep.runs.size(), 1u);
   EXPECT_GT(rep.chain_len, 0u);
   expect_well_formed(rep);
 }
 
 TEST(CritPath, SummaryFoldsAndMatchesReport) {
-  EngineOverrideGuard guard;
   const graph::Graph g = graph::path(64, {1, 4, 0.0}, 11);
-  const CritPathReport rep = profiled([&] { baseline::bf_sssp(g, 0); });
+  const CritPathReport rep =
+      profiled([&](const RunEnv& env) { sssp(g, env); });
   const CritPathSummary s = summarize(rep);
   EXPECT_FALSE(s.empty());
   EXPECT_EQ(s.runs, rep.runs.size());
@@ -240,14 +235,11 @@ TEST(CritPath, SummaryFoldsAndMatchesReport) {
 }
 
 TEST(CritPath, ExportersEmitValidJson) {
-  EngineOverrideGuard guard;
   TraceRecorder::Options opt;
   opt.work_item_capacity = std::size_t{1} << 16;
   TraceRecorder rec(opt);
   const graph::Graph g = graph::path(64, {1, 4, 0.0}, 11);
-  Engine::set_global_recorder(&rec);
-  baseline::bf_sssp(g, 0);
-  Engine::set_global_recorder(nullptr);
+  sssp(g, {0, false, false, &rec});
   const CritPathReport rep = analyze_critical_path(rec);
   ASSERT_EQ(rep.runs.size(), 1u);
 

@@ -216,7 +216,7 @@ TEST(Engine, ThreadCountDoesNotChangeResults) {
   const auto run = [&](std::size_t threads) {
     std::vector<std::unique_ptr<Protocol>> procs = make_flood(g);
     EngineOptions opt;
-    opt.threads = threads;
+    opt.env.threads = threads;
     Engine engine(g, std::move(procs), opt);
     const RunStats stats = engine.run();
     std::vector<std::int64_t> values;
@@ -410,30 +410,17 @@ DetStats det(const RunStats& s) {
           s.round_messages_hist};
 }
 
-/// Restores the process-wide engine overrides on scope exit.
-struct EngineOverrideGuard {
-  ~EngineOverrideGuard() {
-    Engine::set_force_dense(false);
-    Engine::set_force_threads(Engine::kNoThreadOverride);
-  }
-};
-
 using SolverRun = std::pair<RunStats, std::vector<std::vector<Weight>>>;
 
-/// Runs `solve` dense single-threaded, then sparse with 1 thread and with
-/// the shared pool; everything deterministic must match exactly.
+/// Runs `solve(env)` dense single-threaded, then sparse with 1 thread and
+/// with the shared pool; everything deterministic must match exactly.
 template <typename Solver>
 void expect_sparse_matches_dense(const Solver& solve, const char* label) {
-  EngineOverrideGuard guard;
-  Engine::set_force_dense(true);
-  Engine::set_force_threads(1);
-  const SolverRun dense = solve();
+  const SolverRun dense = solve(RunEnv{1, false, true});
   EXPECT_EQ(dense.first.skipped_rounds, 0u) << label << ": dense skipped";
 
-  Engine::set_force_dense(false);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
-    Engine::set_force_threads(threads);
-    const SolverRun sparse = solve();
+    const SolverRun sparse = solve(RunEnv{threads, false, false});
     EXPECT_EQ(det(sparse.first), det(dense.first))
         << label << ": stats diverge at threads=" << threads;
     EXPECT_EQ(sparse.second, dense.second)
@@ -445,8 +432,8 @@ TEST(SparseDense, PipelinedApsp) {
   const Graph g = graph::erdos_renyi(16, 0.25, {1, 6, 0.0}, 9100);
   const Weight delta = graph::max_finite_distance(g);
   expect_sparse_matches_dense(
-      [&] {
-        const auto res = core::pipelined_apsp(g, delta);
+      [&](const RunEnv& env) {
+        const auto res = core::pipelined_apsp(g, delta, env);
         return SolverRun{res.stats, res.dist};
       },
       "pipelined_apsp");
@@ -461,7 +448,8 @@ TEST(SparseDense, PipelinedKsspScrambledInbox) {
   p.scramble_inbox = true;
   p.record_per_round = true;
   expect_sparse_matches_dense(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::pipelined_kssp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -471,8 +459,8 @@ TEST(SparseDense, PipelinedKsspScrambledInbox) {
 TEST(SparseDense, BellmanFordApsp) {
   const Graph g = graph::erdos_renyi(15, 0.25, {1, 7, 0.0}, 9200);
   expect_sparse_matches_dense(
-      [&] {
-        const auto res = baseline::bf_apsp(g);
+      [&](const RunEnv& env) {
+        const auto res = baseline::bf_apsp(g, env);
         return SolverRun{res.stats, res.dist};
       },
       "bf_apsp");
@@ -481,8 +469,10 @@ TEST(SparseDense, BellmanFordApsp) {
 TEST(SparseDense, BlockerApsp) {
   const Graph g = graph::erdos_renyi(12, 0.35, {1, 5, 0.0}, 9300);
   expect_sparse_matches_dense(
-      [&] {
-        const auto res = core::blocker_apsp(g, {});
+      [&](const RunEnv& env) {
+        core::BlockerApspParams p;
+        p.env = env;
+        const auto res = core::blocker_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
       "blocker_apsp");
@@ -494,7 +484,8 @@ TEST(SparseDense, ScaledHhopApsp) {
   p.h = g.node_count() - 1;
   p.delta = graph::max_finite_distance(g);
   expect_sparse_matches_dense(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::scaled_hhop_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -506,7 +497,8 @@ TEST(SparseDense, ApproxApsp) {
   core::ApproxApspParams p;
   p.eps = 0.5;
   expect_sparse_matches_dense(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::approx_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -559,11 +551,10 @@ TEST(SparseDense, FastForwardSkipsSilentGapBitIdentically) {
   EngineOptions opt;
   opt.record_per_round = true;
 
-  EngineOverrideGuard guard;
-  Engine::set_force_dense(true);
-  Engine dense(g, make(), opt);
+  EngineOptions dense_opt = opt;
+  dense_opt.env.dense = true;
+  Engine dense(g, make(), dense_opt);
   const RunStats ds = dense.run();
-  Engine::set_force_dense(false);
   Engine sparse(g, make(), opt);
   const RunStats ss = sparse.run();
 
@@ -586,21 +577,16 @@ TEST(SparseDense, FastForwardSkipsSilentGapBitIdentically) {
 // steady-state zero-allocation guarantee.
 // ---------------------------------------------------------------------------
 
-/// Runs `solve` once as the dense single-threaded oracle, then under both
-/// schedulers at 1, 4, and 8 worker threads; every deterministic stat
+/// Runs `solve(env)` once as the dense single-threaded oracle, then under
+/// both schedulers at 1, 4, and 8 worker threads; every deterministic stat
 /// (including message_bytes) and every output must be bit-identical.
 template <typename Solver>
 void expect_plane_invariant(const Solver& solve, const char* label) {
-  EngineOverrideGuard guard;
-  Engine::set_force_dense(true);
-  Engine::set_force_threads(1);
-  const SolverRun oracle = solve();
+  const SolverRun oracle = solve(RunEnv{1, false, true});
   for (const bool dense : {false, true}) {
-    Engine::set_force_dense(dense);
     for (const std::size_t threads :
          {std::size_t{1}, std::size_t{4}, std::size_t{8}}) {
-      Engine::set_force_threads(threads);
-      const SolverRun run = solve();
+      const SolverRun run = solve(RunEnv{threads, false, dense});
       EXPECT_EQ(det(run.first), det(oracle.first))
           << label << ": stats diverge, dense=" << dense
           << " threads=" << threads;
@@ -619,7 +605,8 @@ TEST(DeliveryPlane, PipelinedKsspInvariant) {
   p.delta = graph::max_finite_distance(g);
   p.record_per_round = true;
   expect_plane_invariant(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::pipelined_kssp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -629,8 +616,8 @@ TEST(DeliveryPlane, PipelinedKsspInvariant) {
 TEST(DeliveryPlane, BellmanFordApspInvariant) {
   const Graph g = graph::erdos_renyi(15, 0.25, {1, 7, 0.0}, 7200);
   expect_plane_invariant(
-      [&] {
-        const auto res = baseline::bf_apsp(g);
+      [&](const RunEnv& env) {
+        const auto res = baseline::bf_apsp(g, env);
         return SolverRun{res.stats, res.dist};
       },
       "bf_apsp");
@@ -639,8 +626,10 @@ TEST(DeliveryPlane, BellmanFordApspInvariant) {
 TEST(DeliveryPlane, BlockerApspInvariant) {
   const Graph g = graph::erdos_renyi(12, 0.35, {1, 5, 0.0}, 7300);
   expect_plane_invariant(
-      [&] {
-        const auto res = core::blocker_apsp(g, {});
+      [&](const RunEnv& env) {
+        core::BlockerApspParams p;
+        p.env = env;
+        const auto res = core::blocker_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
       "blocker_apsp");
@@ -652,7 +641,8 @@ TEST(DeliveryPlane, ScaledHhopApspInvariant) {
   p.h = g.node_count() - 1;
   p.delta = graph::max_finite_distance(g);
   expect_plane_invariant(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::scaled_hhop_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -664,7 +654,8 @@ TEST(DeliveryPlane, ApproxApspInvariant) {
   core::ApproxApspParams p;
   p.eps = 0.5;
   expect_plane_invariant(
-      [&] {
+      [&](const RunEnv& env) {
+        p.env = env;
         const auto res = core::approx_apsp(g, p);
         return SolverRun{res.stats, res.dist};
       },
@@ -757,9 +748,9 @@ TEST(DeliveryPlane, SteadyStateRoundsAllocateNothing) {
   // guarantee that makes steady-state delivery allocation-free.
   const Graph g = graph::cycle(16, {1, 1, 0.0}, 7700);
   for (const bool dense : {false, true}) {
-    EngineOverrideGuard guard;
-    Engine::set_force_dense(dense);
-    Engine engine(g, make_chatter(g, 64));
+    EngineOptions opt;
+    opt.env.dense = dense;
+    Engine engine(g, make_chatter(g, 64), opt);
     engine.step();  // init round
     engine.step();  // first steady-state round sizes the reuse buffers
     engine.step();  // second: mixed-width ends_ columns exist everywhere
@@ -873,14 +864,13 @@ class WakeMoveProtocol final : public Protocol {
 TEST(SparseScheduler, WakeMovedLaterAndBackFiresOnceAtTheHint) {
   const Graph g = graph::path(2, {1, 1, 0.0}, 7900);
   const auto run = [&](bool dense) {
-    EngineOverrideGuard guard;
-    Engine::set_force_dense(dense);
     std::vector<std::unique_ptr<Protocol>> procs;
     for (NodeId v = 0; v < 2; ++v) {
       procs.push_back(std::make_unique<WakeMoveProtocol>(v));
     }
     EngineOptions opt;
     opt.record_per_round = true;
+    opt.env.dense = dense;
     Engine engine(g, std::move(procs), opt);
     const RunStats stats = engine.run();
     const auto& node1 =
@@ -907,7 +897,7 @@ TEST(EngineTrace, RoundEventsMatchPerRoundMessages) {
   obs::TraceRecorder rec;
   EngineOptions opt;
   opt.record_per_round = true;
-  opt.recorder = &rec;
+  opt.env.recorder = &rec;
   Engine engine(g, make_flood(g), opt);
   const RunStats stats = engine.run();
 
@@ -937,7 +927,7 @@ TEST(EngineTrace, RecorderDoesNotPerturbDeterministicStats) {
   const auto run = [&](obs::TraceRecorder* rec) {
     EngineOptions opt;
     opt.record_per_round = true;
-    opt.recorder = rec;
+    opt.env.recorder = rec;
     Engine engine(g, make_flood(g), opt);
     const RunStats stats = engine.run();
     std::vector<std::int64_t> values;
@@ -964,7 +954,7 @@ TEST(EngineTrace, GapEventsCoverFastForwardedRounds) {
   }
   obs::TraceRecorder rec;
   EngineOptions opt;
-  opt.recorder = &rec;
+  opt.env.recorder = &rec;
   Engine engine(g, std::move(procs), opt);
   const RunStats stats = engine.run();
   ASSERT_GT(stats.skipped_rounds, 0u);
@@ -1001,11 +991,10 @@ TEST(SparseDense, StepInterleavedWithRunMatches) {
   EngineOptions opt;
   opt.record_per_round = true;
 
-  EngineOverrideGuard guard;
-  Engine::set_force_dense(true);
-  Engine dense(g, make_flood(g), opt);
+  EngineOptions dense_opt = opt;
+  dense_opt.env.dense = true;
+  Engine dense(g, make_flood(g), dense_opt);
   const RunStats ds = dense.run();
-  Engine::set_force_dense(false);
 
   // step() is contractually "exactly one round" (no fast-forward); finishing
   // with run() must land on the same deterministic stats regardless of the

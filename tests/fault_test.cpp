@@ -130,20 +130,6 @@ DetStats det(const RunStats& s) {
           s.faults};
 }
 
-struct EngineOverrideGuard {
-  ~EngineOverrideGuard() {
-    Engine::set_force_dense(false);
-    Engine::set_force_threads(Engine::kNoThreadOverride);
-  }
-};
-
-struct GlobalPlanGuard {
-  explicit GlobalPlanGuard(const FaultPlan* plan) {
-    Engine::set_global_fault_plan(plan);
-  }
-  ~GlobalPlanGuard() { Engine::set_global_fault_plan(nullptr); }
-};
-
 // ---------------------------------------------------------------------------
 // FaultPlan: spec grammar, validation, enabledness.
 // ---------------------------------------------------------------------------
@@ -221,28 +207,12 @@ TEST(FaultEngine, DisabledPlanBitIdenticalToNoPlan) {
 
   const FaultPlan disabled = FaultPlan::parse("seed=42");
   EngineOptions opt;
-  opt.faults = &disabled;
+  opt.env.faults = &disabled;
   Engine faulted(g, make_bf(g, 0), opt);
   const RunStats got = faulted.run();
   EXPECT_EQ(det(got), det(base));
   EXPECT_EQ(bf_dists(faulted), bf_dists(plain));
   EXPECT_FALSE(got.faults.any());
-}
-
-TEST(FaultEngine, OptionsPlanOverridesGlobalPlan) {
-  // A disabled per-engine plan must shadow an aggressive global one: the
-  // engine-local option is the more specific intent.
-  const Graph g = graph::path(8, {1, 3, 0.0}, 502, false);
-  const FaultPlan global = FaultPlan::parse("drop=1.0,seed=7");
-  const GlobalPlanGuard guard(&global);
-
-  const FaultPlan disabled;
-  EngineOptions opt;
-  opt.faults = &disabled;
-  Engine e(g, make_bf(g, 0), opt);
-  e.run();
-  const auto dj = seq::dijkstra(g, 0);
-  EXPECT_EQ(bf_dists(e), dj.dist);  // drop=1.0 would have left these inf
 }
 
 // ---------------------------------------------------------------------------
@@ -255,13 +225,10 @@ class FaultDeterminism : public ::testing::TestWithParam<const char*> {};
 TEST_P(FaultDeterminism, BitIdenticalAcrossThreadsAndSchedulers) {
   const FaultPlan plan = FaultPlan::parse(GetParam());
   const Graph g = graph::erdos_renyi(14, 0.35, {0, 5, 0.25}, 601);
-  EngineOverrideGuard guard;
 
   const auto run_once = [&](bool dense, std::size_t threads) {
-    Engine::set_force_dense(dense);
-    Engine::set_force_threads(threads);
     EngineOptions opt;
-    opt.faults = &plan;
+    opt.env = {threads, false, dense, nullptr, &plan};
     opt.max_rounds = 5000;
     Engine e(g, make_bf(g, 0), opt);
     const RunStats stats = e.run();
@@ -303,7 +270,7 @@ TEST(FaultEngine, SameSeedSameRunDifferentSeedDifferentRun) {
     FaultPlan plan = FaultPlan::parse("drop=0.4");
     plan.seed = seed;
     EngineOptions opt;
-    opt.faults = &plan;
+    opt.env.faults = &plan;
     Engine e(g, make_bf(g, 0), opt);
     return e.run().faults;
   };
@@ -321,7 +288,7 @@ TEST(FaultBehavior, DropEverythingStopsTheFlood) {
   const Graph g = graph::path(6, {1, 1, 0.0}, 701, false);
   const FaultPlan plan = FaultPlan::parse("drop=1.0,seed=1");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine e(g, make_bf(g, 0), opt);
   const RunStats stats = e.run();
   const auto dists = bf_dists(e);
@@ -340,7 +307,7 @@ TEST(FaultBehavior, DuplicationIsHarmlessForMonotoneProtocols) {
   const Graph g = graph::erdos_renyi(12, 0.35, {0, 5, 0.2}, 702);
   const FaultPlan plan = FaultPlan::parse("dup=1.0,seed=2");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine e(g, make_bf(g, 0), opt);
   const RunStats stats = e.run();
   EXPECT_EQ(stats.faults.duplicated, stats.total_messages);
@@ -355,7 +322,7 @@ TEST(FaultBehavior, DelayStretchesTheRunButKeepsBfExact) {
 
   const FaultPlan plan = FaultPlan::parse("delay=1.0:3,seed=3");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine e(g, make_bf(g, 0), opt);
   const RunStats stats = e.run();
   EXPECT_GT(stats.faults.delayed, 0u);
@@ -400,7 +367,7 @@ TEST(FaultBehavior, BandwidthCapSpreadsABurstAcrossRounds) {
   procs.push_back(std::make_unique<BurstSender>(4));
   procs.push_back(std::make_unique<BurstReceiver>());
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine e(g, std::move(procs), opt);
   const RunStats stats = e.run();
 
@@ -423,7 +390,7 @@ TEST(FaultBehavior, CrashStopDiscardsDeliveriesAndSilencesTheNode) {
   const Graph g = graph::star(6, {1, 1, 0.0}, 705);
   const FaultPlan plan = FaultPlan::parse("crash=0@0,seed=5");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine e(g, make_bf(g, 1), opt);
   const RunStats stats = e.run();
   EXPECT_GT(stats.faults.crash_dropped, 0u);
@@ -442,7 +409,7 @@ TEST(FaultBehavior, AccountingIdentityHolds) {
   const Graph g = graph::erdos_renyi(13, 0.35, {0, 5, 0.2}, 706);
   const FaultPlan plan = FaultPlan::parse("drop=0.25,dup=0.3,delay=0.4:3,seed=6");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   opt.max_rounds = 5000;
   Engine e(g, make_bf(g, 0), opt);
   const RunStats stats = e.run();
@@ -463,8 +430,8 @@ std::pair<std::vector<Weight>, ReliableResult> reliable_bf(
     const Graph& g, const FaultPlan* plan, std::size_t threads = 0,
     Round max_rounds = 20000) {
   EngineOptions opt;
-  opt.faults = plan;
-  opt.threads = threads;
+  opt.env.faults = plan;
+  opt.env.threads = threads;
   opt.max_rounds = max_rounds;
   std::vector<Weight> dists(g.node_count(), kInfDist);
   const ReliableResult res = run_reliable(
@@ -688,9 +655,9 @@ TEST(Reliable, ExactlyOnceInOrderStreamAtFifteenPercentLoss) {
 TEST(FaultPartition, CrashedCutVertexFailsTheBuild) {
   const Graph g = graph::path(7, {1, 3, 0.0}, 901, false);
   const FaultPlan plan = FaultPlan::parse("crash=3@0,seed=31");
-  const GlobalPlanGuard guard(&plan);
   service::OracleBuildOptions opts;
   opts.solver = service::Solver::kPipelined;
+  opts.env.faults = &plan;
   try {
     service::build_oracle(g, opts);
     FAIL() << "partitioned build did not throw";
@@ -704,9 +671,9 @@ TEST(FaultPartition, CrashedCutVertexFailsTheBuild) {
 TEST(FaultPartition, ReferenceSolverIgnoresThePlan) {
   const Graph g = graph::path(7, {1, 3, 0.0}, 902, false);
   const FaultPlan plan = FaultPlan::parse("crash=3@0,seed=32");
-  const GlobalPlanGuard guard(&plan);
   service::OracleBuildOptions opts;
   opts.solver = service::Solver::kReference;
+  opts.env.faults = &plan;
   const service::DistanceOracle o = service::build_oracle(g, opts);
   EXPECT_EQ(o.dist(0, 6), seq::dijkstra(g, 0).dist[6]);
 }
@@ -716,9 +683,9 @@ TEST(FaultPartition, HarmlessPlanBuildsExactOracle) {
   // both succeed and be exact.
   const Graph g = graph::erdos_renyi(10, 0.4, {1, 4, 0.0}, 903);
   const FaultPlan plan = FaultPlan::parse("crash=3@100000,seed=33");
-  const GlobalPlanGuard guard(&plan);
   service::OracleBuildOptions opts;
   opts.solver = service::Solver::kPipelined;
+  opts.env.faults = &plan;
   const service::DistanceOracle o = service::build_oracle(g, opts);
   for (NodeId s = 0; s < g.node_count(); ++s) {
     const auto dj = seq::dijkstra(g, s);
@@ -738,8 +705,8 @@ TEST(FaultTrace, RunRecordCarriesValidFaultCounters) {
   const FaultPlan plan = FaultPlan::parse("drop=0.3,dup=0.2,seed=41");
   obs::TraceRecorder rec;
   EngineOptions opt;
-  opt.faults = &plan;
-  opt.recorder = &rec;
+  opt.env.faults = &plan;
+  opt.env.recorder = &rec;
   Engine e(g, make_bf(g, 0), opt);
   const RunStats stats = e.run();
   ASSERT_TRUE(stats.faults.any());
@@ -762,7 +729,7 @@ TEST(FaultTrace, SummaryMentionsFaultsOnlyWhenPresent) {
 
   const FaultPlan plan = FaultPlan::parse("drop=0.5,seed=42");
   EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   Engine faulted(g, make_bf(g, 0), opt);
   const std::string summary = faulted.run().summary();
   EXPECT_NE(summary.find("faults{dropped="), std::string::npos) << summary;

@@ -37,7 +37,7 @@
 namespace dapsp::core {
 namespace {
 
-using congest::Engine;
+using congest::RunEnv;
 using congest::RunStats;
 using graph::Graph;
 using graph::NodeId;
@@ -159,12 +159,13 @@ std::vector<NodeId> sources_of(const GoldenCase& c, NodeId n) {
   return s;
 }
 
-CsspCollection run_cssp(const Graph& g, const GoldenCase& c) {
+CsspCollection run_cssp(const Graph& g, const GoldenCase& c,
+                        const RunEnv& env) {
   return build_cssp(g, sources_of(c, g.node_count()), c.h,
-                    graph::max_finite_hop_distance(g, 2 * c.h));
+                    graph::max_finite_hop_distance(g, 2 * c.h), env);
 }
 
-Golden observe(const GoldenCase& c, const Graph& g) {
+Golden observe(const GoldenCase& c, const Graph& g, const RunEnv& env) {
   const NodeId n = g.node_count();
   const std::uint32_t h = c.h == 0 ? n - 1 : c.h;
   switch (c.solver) {
@@ -173,13 +174,14 @@ Golden observe(const GoldenCase& c, const Graph& g) {
       p.sources = sources_of(c, n);
       p.h = h;
       p.delta = graph::max_finite_hop_distance(g, h);
+      p.env = env;
       const auto r = short_range(g, p);
       return base(r.stats,
                   Digest().add(r.dist).add(r.hops).add(r.parent).value(),
                   {r.settle_round, r.max_sends_per_node, r.late_sends, 0});
     }
     case Solver::kCsssp: {
-      const auto r = run_cssp(g, c);
+      const auto r = run_cssp(g, c, env);
       std::uint64_t members = 0;
       std::uint64_t deepest = 0;
       for (std::size_t i = 0; i < r.sources.size(); ++i) {
@@ -201,7 +203,7 @@ Golden observe(const GoldenCase& c, const Graph& g) {
                   {members, deepest, 0, 0});
     }
     case Solver::kBlockerSet: {
-      const auto r = compute_blocker_set(g, run_cssp(g, c));
+      const auto r = compute_blocker_set(g, run_cssp(g, c, env), env);
       return base(r.stats, Digest().add(r.blockers).value(),
                   {r.blockers.size(), r.update_congestion,
                    r.max_update_phase_rounds, r.score_init_rounds});
@@ -210,6 +212,7 @@ Golden observe(const GoldenCase& c, const Graph& g) {
       BlockerApspParams p;
       if (c.k != 0) p.sources = sources_of(c, n);
       p.h = c.h;
+      p.env = env;
       const auto r = blocker_apsp(g, p);
       return base(
           r.stats,
@@ -220,6 +223,7 @@ Golden observe(const GoldenCase& c, const Graph& g) {
       ScaledApspParams p;
       p.h = h;
       p.delta = graph::max_finite_hop_distance(g, h);
+      p.env = env;
       const auto r = scaled_hhop_apsp(g, p);
       return base(r.stats, Digest().add(r.dist).add(r.hops).value(),
                   {r.max_queue_depth, 0, 0, 0});
@@ -227,16 +231,18 @@ Golden observe(const GoldenCase& c, const Graph& g) {
     case Solver::kApprox: {
       ApproxApspParams p;
       p.eps = 0.5;
+      p.env = env;
       const auto r = approx_apsp(g, p);
       return base(r.stats, Digest().add(r.dist).value(), {r.scales, 0, 0, 0});
     }
     case Solver::kBellmanFord: {
-      const auto r = baseline::bf_apsp(g);
+      const auto r = baseline::bf_apsp(g, env);
       return base(r.stats, Digest().add(r.dist).value(), {0, 0, 0, 0});
     }
     case Solver::kUnweighted: {
       baseline::PositiveApspParams p;
       if (c.k != 0) p.sources = sources_of(c, n);
+      p.env = env;
       const auto r = baseline::positive_apsp(g, p);
       return base(r.stats, Digest().add(r.dist).value(),
                   {r.settle_round, r.max_sends_per_node_per_source, 0, 0});
@@ -368,16 +374,11 @@ const GoldenCase kGoldenCases[] = {
      {40, 2940, 70560, 1, 30, 40, 0, 0xd4a9736445537685ull, {38, 1, 0, 0}}},
 };
 
-/// Restores the process-wide engine overrides on scope exit.
-struct EngineOverrideGuard {
-  ~EngineOverrideGuard() {
-    Engine::set_force_dense(false);
-    Engine::set_force_threads(Engine::kNoThreadOverride);
-  }
-};
-
+// A phase that drops the RunEnv runs sparse under a dense request, and the
+// row's executed and skipped rounds stop matching wherever that phase skips
+// a round: the dense rows double as the check that every engine a solver
+// builds gets the caller's env.
 void expect_rows(Solver solver) {
-  EngineOverrideGuard guard;
   for (const GoldenCase& c : kGoldenCases) {
     if (c.solver != solver) continue;
     SCOPED_TRACE(c.name);
@@ -388,10 +389,8 @@ void expect_rows(Solver solver) {
         want.executed_rounds = want.rounds;
         want.skipped_rounds = 0;
       }
-      Engine::set_force_dense(dense);
       for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-        Engine::set_force_threads(threads);
-        EXPECT_EQ(observe(c, g), want)
+        EXPECT_EQ(observe(c, g, {threads, false, dense}), want)
             << (dense ? "dense" : "sparse") << ", threads=" << threads;
       }
     }

@@ -37,6 +37,7 @@ TEST(GraphBuilder, RejectsBadInput) {
   EXPECT_THROW(b.add_edge(0, 3, 1), std::logic_error);
   EXPECT_THROW(b.add_edge(1, 1, 1), std::logic_error);
   EXPECT_THROW(b.add_edge(0, 1, -2), std::logic_error);
+  EXPECT_THROW(GraphBuilder(kNoNode, true), std::logic_error);
 }
 
 TEST(GraphBuilder, RejectsWeightsWhosePathsReachInfinity) {
@@ -321,6 +322,16 @@ TEST(Io, SelfLoopInputFailsLoudly) {
   // load-then-silently-drop on the next write.
   std::stringstream in("dapsp undirected 3 2\n0 1 4\n2 2 0\n");
   EXPECT_THROW(read_graph(in), std::logic_error);
+}
+
+TEST(Io, NodeCountOfNoNodeFailsLoudly) {
+  // 2^32 - 1 nodes is kNoNode, and "-1" wraps to it on extraction: both
+  // must fail like any other bad header, before build() sizes n + 1 offsets.
+  for (const char* header :
+       {"dapsp directed 4294967295 0\n", "dapsp directed -1 0\n"}) {
+    std::stringstream in(header);
+    EXPECT_THROW(read_graph(in), std::logic_error) << header;
+  }
 }
 
 TEST(Io, WeightAboveCapFailsLoudly) {

@@ -3,16 +3,20 @@
 // batch), the epoch-stamped path cache must never serve a stale path after a
 // swap, and a failed background rebuild must leave the serving snapshot
 // untouched.  This binary is the `service` tier's ThreadSanitizer target --
-// the CI tsan job runs it with 4 reader threads against a rebuild loop.
+// the CI tsan job runs it with 4 reader threads against a rebuild loop, and
+// with concurrent builds that each carry their own run environment.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "congest/faults.hpp"
 #include "graph/generators.hpp"
+#include "obs/trace.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "service/query_service.hpp"
 
@@ -261,6 +265,73 @@ TEST(SnapshotSwap, ConcurrentQueriesNeverObserveMixedSnapshots) {
   const service::ServiceStats st = svc.stats();
   EXPECT_EQ(st.swaps, 12u);
   EXPECT_EQ(st.of(QueryType::kDist).errors, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Run environments: a build's threads, recorder and fault plan belong to that
+// build.  Two builds running at once must not see each other's.
+// ---------------------------------------------------------------------------
+
+// Two profiled builds at once: each must come back with the critical path
+// of its own build, the same one it has when it runs alone.
+TEST(RunEnv, ConcurrentProfiledBuildsEachKeepTheirCriticalPath) {
+  const Graph g = graph::erdos_renyi(96, 4.0 / 96, {0, 6, 0.2}, 3);
+  service::OracleBuildOptions opts;
+  opts.solver = service::Solver::kPipelined;
+  opts.critpath = true;
+  const auto summary = [&] {
+    const service::DistanceOracle o = service::build_oracle(g, opts);
+    return o.build_critpath() != nullptr ? *o.build_critpath()
+                                         : obs::CritPathSummary{};
+  };
+  const obs::CritPathSummary solo = summary();
+  ASSERT_EQ(solo.runs, 1u);
+
+  for (int trial = 0; trial < 4; ++trial) {
+    obs::CritPathSummary a;
+    std::thread other([&] { a = summary(); });
+    const obs::CritPathSummary b = summary();
+    other.join();
+    for (const obs::CritPathSummary& got : {a, b}) {
+      EXPECT_EQ(got.runs, solo.runs) << "trial " << trial;
+      EXPECT_EQ(got.chain_len, solo.chain_len) << "trial " << trial;
+      EXPECT_EQ(got.total_cost, solo.total_cost) << "trial " << trial;
+      EXPECT_EQ(got.items_seen, solo.items_seen) << "trial " << trial;
+    }
+  }
+}
+
+// A background rebuild under a partitioning fault plan fails while the
+// foreground traces a build of its own: the plan stays in the rebuild, and
+// the rebuild's engine runs stay out of the foreground's trace.
+TEST(RunEnv, FailingFaultedRebuildStaysOutOfAForegroundTrace) {
+  const Graph line = graph::path(24, {1, 3, 0.0}, 7, /*directed=*/false);
+  const congest::FaultPlan plan = congest::FaultPlan::parse("crash=5@0");
+  service::OracleBuildOptions faulted;
+  faulted.solver = service::Solver::kPipelined;
+  faulted.env.faults = &plan;
+  QueryService svc(service::build_oracle(line, kRef));
+  SnapshotManager manager(svc, line, faulted, 1);
+
+  const Graph g = graph::erdos_renyi(64, 4.0 / 64, {0, 6, 0.2}, 3);
+  constexpr std::uint64_t kTrials = 4;
+  for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
+    service::RebuildOutcome rebuilt;
+    std::thread rebuild([&] { rebuilt = manager.rebuild_now(); });
+    obs::TraceRecorder rec;
+    service::OracleBuildOptions traced;
+    traced.env.recorder = &rec;
+    const service::DistanceOracle o = service::build_oracle(g, traced);
+    rebuild.join();
+
+    EXPECT_FALSE(rebuilt.ok);
+    EXPECT_NE(rebuilt.error.find("crash=5@0"), std::string::npos)
+        << rebuilt.error;
+    ASSERT_EQ(rec.runs().size(), 1u) << "trial " << trial;
+    EXPECT_EQ(rec.total_messages(), o.build_stats().total_messages);
+  }
+  EXPECT_EQ(manager.stats().rebuilds_failed, kTrials);
+  EXPECT_EQ(svc.snapshot()->epoch(), 0u);
 }
 
 }  // namespace

@@ -186,7 +186,7 @@ TEST(Stress, RoundLimitWithPendingFaultFramesReportsTruncation) {
   const Graph g = graph::path(12, {1, 1, 0.0}, 4949, false);
   const congest::FaultPlan plan = congest::FaultPlan::parse("delay=1.0:50,seed=9");
   congest::EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   opt.max_rounds = 5;
   congest::Engine e(g, make_relays(g), opt);
   const congest::RunStats stats = e.run();
@@ -198,7 +198,7 @@ TEST(Stress, RoundLimitWithPendingFaultFramesReportsTruncation) {
   // Same plan with room to finish: the flood completes and nothing is
   // reported truncated -- the cap, not the faults, caused the first failure.
   congest::EngineOptions roomy;
-  roomy.faults = &plan;
+  roomy.env.faults = &plan;
   roomy.max_rounds = 5000;
   congest::Engine e2(g, make_relays(g), roomy);
   const congest::RunStats ok = e2.run();
@@ -212,7 +212,7 @@ TEST(Stress, ReliableBellmanFordMidSizeGridUnderLoss) {
   const Graph g = graph::grid(6, 8, {1, 6, 0.0}, 5050);
   const congest::FaultPlan plan = congest::FaultPlan::parse("drop=0.15,seed=10");
   congest::EngineOptions opt;
-  opt.faults = &plan;
+  opt.env.faults = &plan;
   opt.max_rounds = 50000;
 
   struct Bf final : congest::Protocol {

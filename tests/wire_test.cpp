@@ -201,6 +201,63 @@ TEST_F(WireTest, BadQueryTypeRejectsWholeBatch) {
       << "a partially valid batch must not execute";
 }
 
+// Response frames are decoded from untrusted bytes too: a count of 2^32 - 1
+// in a frame of a few bytes must fail as a short body before anything is
+// reserved for it, for every count a response carries.
+TEST(WireResponse, HostileCountsFailAsShortBodies) {
+  constexpr std::uint32_t kHuge = 0xFFFFFFFFu;
+  const auto ok_body = [](std::uint8_t opcode) {
+    std::string p = "DR";
+    p.push_back('\x01');
+    p.push_back(static_cast<char>(opcode));
+    if (opcode != 0x81) p.push_back('\x01');  // analytics status: ok
+    return p;
+  };
+  const auto put_i64 = [](std::string& p) {
+    put_u32(p, 0);
+    put_u32(p, 0);
+  };
+  std::string results = ok_body(0x81);
+  put_u32(results, kHuge);
+  std::string path = ok_body(0x81);
+  put_u32(path, 1);
+  path.push_back('\0');  // type: dist
+  path.push_back('\1');  // ok
+  put_i64(path);         // dist
+  put_u32(path, 0);      // next hop
+  put_u32(path, kHuge);
+  std::string routes = ok_body(0x85);
+  put_u32(routes, kHuge);
+  std::string kpath_nodes = ok_body(0x85);
+  put_u32(kpath_nodes, 1);
+  put_i64(kpath_nodes);  // weight
+  put_u32(kpath_nodes, kHuge);
+  std::string route_nodes = ok_body(0x86);
+  route_nodes.push_back('\1');  // feasible
+  put_i64(route_nodes);         // weight
+  put_u32(route_nodes, kHuge);
+  std::string sources = ok_body(0x87);
+  for (int i = 0; i < 3; ++i) put_i64(sources);  // radius, diameter, pairs
+  put_u32(sources, kHuge);
+  std::string scores = ok_body(0x88);
+  put_u32(scores, kHuge);
+
+  const std::pair<const char*, std::string> frames[] = {
+      {"batch results", results},  {"batch path", path},
+      {"kpath routes", routes},    {"kpath route nodes", kpath_nodes},
+      {"route nodes", route_nodes}, {"report sources", sources},
+      {"bc scores", scores}};
+  for (const auto& [name, payload] : frames) {
+    std::istringstream in(raw_frame(payload));
+    try {
+      read_response(in);
+      ADD_FAILURE() << name << ": decoded";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "wire: short response body") << name;
+    }
+  }
+}
+
 TEST_F(WireTest, OversizedLengthPrefixEndsSessionWithError) {
   std::string req;
   put_u32(req, (64u << 20) + 1);
