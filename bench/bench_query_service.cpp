@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "graph/generators.hpp"
+#include "serve/session.hpp"
 #include "serve/snapshot_manager.hpp"
 #include "serve/wire.hpp"
 #include "service/query_service.hpp"
@@ -317,7 +318,7 @@ BENCHMARK(BM_ServeAnalyticsUnderRebuild)->Arg(4)->UseRealTime()
 
 /// Per-line text protocol: the baseline the batch+binary path is measured
 /// against.  One "dist U V" line per query, parsed and answered one at a
-/// time through serve_stream.
+/// time through serve_session.
 void BM_ServeTextProtocol(benchmark::State& state) {
   const QueryService svc(serve_oracle());
   const auto queries = random_queries(QueryType::kDist, 1 << 14, 1 << 14, 12);
@@ -329,7 +330,8 @@ void BM_ServeTextProtocol(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream in(request);
     std::ostringstream out;
-    const int malformed = svc.serve_stream(in, out, /*json=*/false);
+    const int malformed =
+        serve::serve_session(svc, in, out, serve::Format::kText);
     if (malformed != 0) state.SkipWithError("malformed text request");
     benchmark::DoNotOptimize(out.str().data());
   }
@@ -351,7 +353,8 @@ void BM_ServeTextBatchDirective(benchmark::State& state) {
   for (auto _ : state) {
     std::istringstream in(request);
     std::ostringstream out;
-    const int malformed = svc.serve_stream(in, out, /*json=*/false);
+    const int malformed =
+        serve::serve_session(svc, in, out, serve::Format::kText);
     if (malformed != 0) state.SkipWithError("malformed batch request");
     benchmark::DoNotOptimize(out.str().data());
   }

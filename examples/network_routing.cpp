@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
       } else {
         cell = std::to_string(res.dist[i][v]);
         if (res.parent[i][v] != graph::kNoNode) {
-          cell += "/" + std::to_string(res.parent[i][v]);
+          cell += '/';
+          cell += std::to_string(res.parent[i][v]);
         }
       }
       std::cout << std::setw(10) << cell << " |";

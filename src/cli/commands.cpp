@@ -22,8 +22,8 @@
 #include "obs/critpath.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "serve/session.hpp"
 #include "serve/snapshot_manager.hpp"
-#include "serve/wire.hpp"
 #include "service/query_service.hpp"
 
 namespace dapsp::cli {
@@ -325,7 +325,6 @@ service::QueryService make_service(const Options& opt, const Graph& g,
   service::QueryServiceConfig cfg;
   cfg.threads = opt.threads;
   cfg.path_cache_capacity = opt.cache_capacity;
-  cfg.max_batch = opt.max_batch;
   return service::QueryService(std::move(oracle), cfg);
 }
 
@@ -343,9 +342,9 @@ int cmd_serve(const Options& opt, const Graph& g, const congest::RunEnv& env,
   // whatever traffic the serve loop is carrying.
   serve::SnapshotManager manager(svc, g, make_build_options(opt, env),
                                  opt.shards);
-  service::ServeOptions serve_opts;
-  serve_opts.json = opt.format == Format::kJson;
-  serve_opts.on_rebuild = [&manager] { return manager.rebuild_now(); };
+  serve::SessionOptions session;
+  session.max_batch = opt.max_batch;
+  session.on_rebuild = [&manager] { return manager.rebuild_now(); };
   std::ifstream file;
   if (opt.queries_file) {
     const auto mode = opt.format == Format::kBinary
@@ -356,10 +355,10 @@ int cmd_serve(const Options& opt, const Graph& g, const congest::RunEnv& env,
   }
   std::istream& in = opt.queries_file ? static_cast<std::istream&>(file)
                                       : std::cin;
-  const int malformed =
-      opt.format == Format::kBinary
-          ? serve::wire::serve_binary(svc, in, out, serve_opts)
-          : svc.serve_stream(in, out, serve_opts);
+  serve::Format format = serve::Format::kText;  // table and csv alike
+  if (opt.format == Format::kJson) format = serve::Format::kJson;
+  if (opt.format == Format::kBinary) format = serve::Format::kBinary;
+  const int malformed = serve::serve_session(svc, in, out, format, session);
   if (!opt.quiet && opt.format == Format::kTable) {
     out << svc.stats().summary() << "\n";
   }
@@ -387,16 +386,16 @@ int cmd_query(const Options& opt, const Graph& g, const congest::RunEnv& env,
   batch.reserve(lines.size());
   for (const std::string& line : lines) {
     std::string error;
-    const auto q = service::QueryService::parse_query(line, &error);
+    const auto q = serve::parse_query(line, &error);
     if (!q) throw std::invalid_argument("bad query '" + line + "': " + error);
     batch.push_back(*q);
   }
   const auto results = svc.query_batch(batch);
   for (const auto& r : results) {
     if (opt.format == Format::kJson) {
-      service::QueryService::write_result_json(r, out);
+      serve::write_result_json(r, out);
     } else {
-      service::QueryService::write_result_text(r, out);
+      serve::write_result_text(r, out);
     }
   }
   if (!opt.quiet && opt.format != Format::kJson) {

@@ -44,7 +44,7 @@ void SnapshotManager::wait_idle() {
   idle_cv_.wait(lock, [this] { return !pending_ && !building_; });
 }
 
-service::RebuildOutcome SnapshotManager::rebuild_now() {
+RebuildOutcome SnapshotManager::rebuild_now() {
   std::uint64_t my_gen = 0;
   {
     std::lock_guard lock(mu_);

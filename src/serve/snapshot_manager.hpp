@@ -26,6 +26,7 @@
 
 #include "graph/graph.hpp"
 #include "service/oracle.hpp"
+#include "serve/session.hpp"
 #include "service/query_service.hpp"
 
 namespace dapsp::serve {
@@ -70,7 +71,7 @@ class SnapshotManager {
   /// request finishes, even while other threads keep flooding
   /// rebuild_async.  (The old wait-for-idle implementation could starve
   /// under that flood and, worse, report a different caller's outcome.)
-  service::RebuildOutcome rebuild_now();
+  RebuildOutcome rebuild_now();
 
   Stats stats() const;
 
@@ -97,7 +98,7 @@ class SnapshotManager {
   // rebuild_now(gen g) waits for done_gen_ >= g.
   std::uint64_t submitted_gen_ = 0;
   std::uint64_t done_gen_ = 0;
-  service::RebuildOutcome last_outcome_;
+  RebuildOutcome last_outcome_;
   std::condition_variable done_cv_;  // wakes rebuild_now waiters
 
   std::thread worker_;

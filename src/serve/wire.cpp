@@ -8,14 +8,14 @@
 #include <stdexcept>
 
 #include "obs/json.hpp"
+#include "serve/session_loop.hpp"
 
 namespace dapsp::serve::wire {
 
 namespace {
 
-constexpr char kReqMagic0 = 'D';
+constexpr char kMagic0 = 'D';
 constexpr char kReqMagic1 = 'Q';
-constexpr char kRespMagic0 = 'D';
 constexpr char kRespMagic1 = 'R';
 constexpr std::uint8_t kVersion = 1;
 
@@ -41,26 +41,18 @@ constexpr std::size_t kQueryWireBytes = 1 + 4 + 4;
 
 // --- little-endian primitives ---------------------------------------------
 
-void put_u16(std::string& buf, std::uint16_t v) {
-  buf.push_back(static_cast<char>(v & 0xFF));
-  buf.push_back(static_cast<char>((v >> 8) & 0xFF));
-}
-
-void put_u32(std::string& buf, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
+/// Appends `v` as sizeof(T) little-endian bytes.
+template <class T>
+void put(std::string& buf, T v) {
+  const auto x = static_cast<std::uint64_t>(v);
+  for (std::size_t i = 0; i < sizeof(T); ++i) {
+    buf.push_back(static_cast<char>((x >> (8 * i)) & 0xFF));
   }
 }
-
-void put_u64(std::string& buf, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    buf.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-void put_i64(std::string& buf, std::int64_t v) {
-  put_u64(buf, static_cast<std::uint64_t>(v));
-}
+void put_u16(std::string& buf, std::uint16_t v) { put(buf, v); }
+void put_u32(std::string& buf, std::uint32_t v) { put(buf, v); }
+void put_u64(std::string& buf, std::uint64_t v) { put(buf, v); }
+void put_i64(std::string& buf, std::int64_t v) { put(buf, v); }
 
 /// Bounds-checked cursor over one frame payload.  `ok` latches false on the
 /// first short read so callers can decode optimistically and test once.
@@ -81,36 +73,20 @@ struct Reader {
     }
     return true;
   }
-  std::uint8_t u8() {
-    if (!need(1)) return 0;
-    return p[pos++];
-  }
-  std::uint16_t u16() {
-    if (!need(2)) return 0;
-    std::uint16_t v = static_cast<std::uint16_t>(p[pos]) |
-                      static_cast<std::uint16_t>(p[pos + 1]) << 8;
-    pos += 2;
-    return v;
-  }
-  std::uint32_t u32() {
-    if (!need(4)) return 0;
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i) {
-      v = v << 8 | p[pos + static_cast<std::size_t>(i)];
-    }
-    pos += 4;
-    return v;
-  }
-  std::uint64_t u64() {
-    if (!need(8)) return 0;
+  /// sizeof(T) little-endian bytes; 0 past the end.
+  template <class T>
+  T get() {
+    if (!need(sizeof(T))) return 0;
     std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i) {
-      v = v << 8 | p[pos + static_cast<std::size_t>(i)];
-    }
-    pos += 8;
-    return v;
+    for (std::size_t i = sizeof(T); i-- > 0;) v = v << 8 | p[pos + i];
+    pos += sizeof(T);
+    return static_cast<T>(v);
   }
-  std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
+  std::int64_t i64() { return get<std::int64_t>(); }
   /// A u32 count of elements of at least `bytes_each` bytes; 0 and !ok when
   /// the rest of the payload cannot hold them, before anyone reserves them.
   std::uint32_t count(std::size_t bytes_each) {
@@ -129,26 +105,30 @@ struct Reader {
   }
 };
 
-void frame_and_write(std::ostream& out, const std::string& payload) {
-  std::string prefix;
-  put_u32(prefix, static_cast<std::uint32_t>(payload.size()));
-  out.write(prefix.data(), static_cast<std::streamsize>(prefix.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.flush();
-}
-
-void begin_request(std::string& buf, std::uint8_t opcode) {
-  buf.push_back(kReqMagic0);
-  buf.push_back(kReqMagic1);
+/// Starts a frame at the end of `buf`: a length prefix that end_frame
+/// fills in, then the header 'D' `magic1` version opcode.  Returns the
+/// prefix's offset.
+std::size_t begin_frame(std::string& buf, char magic1, std::uint8_t opcode) {
+  const std::size_t at = buf.size();
+  put_u32(buf, 0);
+  buf.push_back(kMagic0);
+  buf.push_back(magic1);
   buf.push_back(static_cast<char>(kVersion));
   buf.push_back(static_cast<char>(opcode));
+  return at;
 }
 
-void begin_response(std::string& buf, std::uint8_t opcode) {
-  buf.push_back(kRespMagic0);
-  buf.push_back(kRespMagic1);
-  buf.push_back(static_cast<char>(kVersion));
-  buf.push_back(static_cast<char>(opcode));
+void end_frame(std::string& buf, std::size_t at) {
+  std::string len;
+  put_u32(len, static_cast<std::uint32_t>(buf.size() - at - 4));
+  buf.replace(at, 4, len);
+}
+
+/// A response frame with its header written; FrameCodec::send ends it.
+std::string begin_response(std::uint8_t opcode) {
+  std::string p;
+  begin_frame(p, kRespMagic1, opcode);
+  return p;
 }
 
 /// status(err) for an analytics response: the query reached the service and
@@ -190,27 +170,10 @@ bool read_status(Reader& r, service::QueryResult* out) {
   return out->ok;
 }
 
-std::string make_error_payload(ErrorCode code, std::string_view msg) {
-  std::string p;
-  p.push_back(kRespMagic0);
-  p.push_back(kRespMagic1);
-  p.push_back(static_cast<char>(kVersion));
-  p.push_back(static_cast<char>(kOpError));
-  put_u16(p, static_cast<std::uint16_t>(code));
-  put_u32(p, static_cast<std::uint32_t>(msg.size()));
-  p.append(msg);
-  return p;
-}
-
 void append_result(std::string& p, const service::QueryResult& r) {
   p.push_back(static_cast<char>(r.type));
-  if (!r.ok) {
-    p.push_back('\0');
-    put_u32(p, static_cast<std::uint32_t>(r.error.size()));
-    p.append(r.error);
-    return;
-  }
-  p.push_back('\1');
+  put_status(p, r);
+  if (!r.ok) return;
   put_i64(p, r.dist);
   put_u32(p, r.next_hop);
   put_u32(p, static_cast<std::uint32_t>(r.path.size()));
@@ -225,101 +188,340 @@ bool read_exact(std::istream& in, std::string& buf, std::size_t want) {
   return static_cast<std::size_t>(in.gcount()) == want;
 }
 
-}  // namespace
+/// The binary protocol: one frame per request, one frame per answer.
+class FrameCodec {
+ public:
+  FrameCodec(std::istream& in, std::ostream& out) : in_(in), out_(out) {}
 
-const char* error_code_name(ErrorCode c) {
-  switch (c) {
-    case ErrorCode::kBadMagic: return "bad_magic";
-    case ErrorCode::kBadVersion: return "bad_version";
-    case ErrorCode::kBadOpcode: return "bad_opcode";
-    case ErrorCode::kTruncated: return "truncated";
-    case ErrorCode::kFrameTooLarge: return "frame_too_large";
-    case ErrorCode::kBatchTooLarge: return "batch_too_large";
-    case ErrorCode::kBadQueryType: return "bad_query_type";
-    case ErrorCode::kBadK: return "bad_k";
-    case ErrorCode::kBadAvoidSet: return "bad_avoid_set";
-    case ErrorCode::kBadBody: return "bad_body";
+  bool read(Request& req) {
+    req = Request{};
+    std::string lenbuf(4, '\0');
+    in_.read(lenbuf.data(), 4);
+    if (in_.gcount() == 0) return false;  // clean EOF at a frame boundary
+    if (in_.gcount() != 4) {
+      req.reject(ErrorCode::kTruncated, "stream ended inside a length prefix",
+                 true);
+      return true;
+    }
+    const std::uint32_t len = Reader(lenbuf).u32();
+    if (len > kMaxFrameBytes) {
+      // The declared payload may not even exist; resync is impossible.
+      req.reject(ErrorCode::kFrameTooLarge,
+                 "frame of " + std::to_string(len) + " bytes exceeds limit of " +
+                     std::to_string(kMaxFrameBytes),
+                 true);
+    } else if (!read_exact(in_, payload_, len)) {
+      req.reject(ErrorCode::kTruncated, "stream ended inside a frame payload",
+                 true);
+    } else {
+      decode(req);
+    }
+    return true;
   }
-  return "?";
-}
+
+  void read_batch(Request& req, bool keep) {
+    if (!keep) return;  // the body is in the frame, already consumed
+    const std::size_t have = payload_.size() - body_;
+    const std::uint64_t want = req.count * kQueryWireBytes;
+    if (have != want) {
+      return req.reject(
+          have < want ? ErrorCode::kTruncated : ErrorCode::kBadBody,
+          "batch body holds " + std::to_string(have / kQueryWireBytes) +
+              " queries but declares " + std::to_string(req.count));
+    }
+    Reader r(payload_);
+    r.pos = body_;
+    req.queries.reserve(static_cast<std::size_t>(req.count));
+    for (std::uint64_t i = 0; i < req.count; ++i) {
+      const std::uint8_t t = r.u8();
+      service::Query q;
+      q.u = r.u32();
+      q.v = r.u32();
+      if (t >= service::kPointQueryTypeCount) {
+        // Analytics types have dedicated opcodes: their bodies are not the
+        // fixed-size records a batch frame is made of.  The whole batch is
+        // rejected: partial answers would desynchronize the caller's
+        // results[i] <-> queries[i] pairing.
+        return req.reject(ErrorCode::kBadQueryType,
+                          "batch contains a query type outside dist/next/path "
+                          "(analytics use dedicated opcodes)");
+      }
+      q.type = static_cast<service::QueryType>(t);
+      req.queries.push_back(q);
+    }
+  }
+
+  std::string too_large(std::uint64_t count, std::size_t max_batch) const {
+    return "batch of " + std::to_string(count) +
+           " queries exceeds max_batch=" + std::to_string(max_batch);
+  }
+
+  void error(ErrorCode code, const std::string& msg) {
+    std::string p = begin_response(kOpError);
+    put_u16(p, static_cast<std::uint16_t>(code));
+    put_u32(p, static_cast<std::uint32_t>(msg.size()));
+    p.append(msg);
+    send(p);
+  }
+
+  void stats(const service::ServiceStats& st) {
+    std::ostringstream json;
+    obs::JsonWriter w(json);
+    st.write_json(w);
+    const std::string doc = json.str();
+    std::string p = begin_response(kOpStatsResp);
+    put_u32(p, static_cast<std::uint32_t>(doc.size()));
+    p.append(doc);
+    send(p);
+  }
+
+  void rebuilt(const RebuildOutcome& rb) {
+    if (!rb.ok) return error(ErrorCode::kRebuildFailed,
+                             "rebuild failed: " + rb.error);
+    std::string p = begin_response(kOpRebuildResp);
+    put_u64(p, rb.epoch);
+    put_u64(p, rb.build_ns);
+    send(p);
+  }
+
+  /// An analytics answer; its opcode is the request's with the high bit set.
+  void answer(const service::QueryResult& qr) {
+    std::string p = begin_response(static_cast<std::uint8_t>(op_ | 0x80));
+    put_status(p, qr);
+    if (qr.ok && qr.type == service::QueryType::kKPaths) {
+      put_u32(p, static_cast<std::uint32_t>(qr.routes.size()));
+      for (const query::Route& rt : qr.routes) put_route(p, rt);
+    } else if (qr.ok && qr.type == service::QueryType::kRoute) {
+      p.push_back(qr.feasible ? '\1' : '\0');
+      if (qr.feasible) put_route(p, qr.routes.front());
+    } else if (qr.ok && qr.type == service::QueryType::kReport) {
+      const query::GraphReport& g = qr.report;
+      put_i64(p, g.radius);
+      put_i64(p, g.diameter);
+      put_u64(p, g.reachable_pairs);
+      put_u32(p, static_cast<std::uint32_t>(g.per_source.size()));
+      for (const query::SourceReport& s : g.per_source) {
+        put_i64(p, s.eccentricity);
+        put_i64(p, s.farness);
+        put_u32(p, s.reached);
+      }
+    } else if (qr.ok && qr.type == service::QueryType::kBetweenness) {
+      put_u32(p, static_cast<std::uint32_t>(qr.centrality.size()));
+      for (const double d : qr.centrality) {
+        put_u64(p, std::bit_cast<std::uint64_t>(d));
+      }
+    }
+    send(p);
+  }
+
+  void answer_batch(const std::vector<service::QueryResult>& results,
+                    const std::vector<std::pair<std::size_t, std::string>>&) {
+    std::string p = begin_response(kOpBatchResp);
+    put_u32(p, static_cast<std::uint32_t>(results.size()));
+    for (const service::QueryResult& qr : results) append_result(p, qr);
+    send(p);
+  }
+
+ private:
+  void send(std::string& frame) {
+    end_frame(frame, 0);
+    out_.write(frame.data(), static_cast<std::streamsize>(frame.size()));
+    out_.flush();
+  }
+
+  /// Decodes the frame in payload_.  Every error here is recoverable: the
+  /// frame is consumed whole, so the session goes on after the answer.
+  void decode(Request& req) {
+    Reader r(payload_);
+    const char m0 = static_cast<char>(r.u8());
+    const char m1 = static_cast<char>(r.u8());
+    if (!r.ok || m0 != kMagic0 || m1 != kReqMagic1) {
+      return req.reject(ErrorCode::kBadMagic,
+                        "request does not start with 'DQ'");
+    }
+    const std::uint8_t ver = r.u8();
+    if (!r.ok || ver != kVersion) {
+      return req.reject(ErrorCode::kBadVersion,
+                        "unsupported protocol version " + std::to_string(ver));
+    }
+    op_ = r.u8();
+    if (!r.ok) {
+      return req.reject(ErrorCode::kTruncated,
+                        "request header shorter than 4 bytes");
+    }
+    const auto empty_body = [&](const char* name) {
+      if (r.pos == payload_.size()) return true;
+      req.reject(ErrorCode::kBadBody, std::string(name) + " body must be empty");
+      return false;
+    };
+    // A fixed-size body: shorter is truncated, longer is bad_body.
+    const auto fixed_body = [&](const char* name, const char* size) {
+      if (r.ok && r.pos == payload_.size()) return true;
+      if (!r.ok) {
+        req.reject(ErrorCode::kTruncated,
+                   std::string(name) + " body shorter than " + size);
+      } else {
+        req.reject(ErrorCode::kBadBody,
+                   std::string(name) + " body has trailing bytes");
+      }
+      return false;
+    };
+    service::Query q;
+    switch (op_) {
+      case kOpQuit:
+        if (empty_body("quit")) req.kind = Request::Kind::kQuit;
+        return;
+      case kOpStats:
+        if (empty_body("stats")) req.kind = Request::Kind::kStats;
+        return;
+      case kOpRebuild:
+        if (empty_body("rebuild")) req.kind = Request::Kind::kRebuild;
+        return;
+      case kOpBatch:
+        req.count = r.u32();
+        if (!r.ok) {
+          return req.reject(ErrorCode::kTruncated,
+                            "batch frame missing its count");
+        }
+        req.kind = Request::Kind::kBatch;
+        body_ = r.pos;
+        return;
+      case kOpKPath:
+        q.type = service::QueryType::kKPaths;
+        q.u = r.u32();
+        q.v = r.u32();
+        q.k = r.u32();
+        if (!fixed_body("kpath", "12 bytes")) return;
+        if (q.k == 0) {
+          return req.reject(ErrorCode::kBadK, "kpath k must be >= 1");
+        }
+        break;
+      case kOpRoute: {
+        q.type = service::QueryType::kRoute;
+        q.u = r.u32();
+        q.v = r.u32();
+        q.constraints.max_hops = r.u32();
+        const std::uint32_t n_nodes = r.u32();
+        const std::uint32_t n_edges = r.u32();
+        if (!r.ok) {
+          return req.reject(ErrorCode::kTruncated,
+                            "route header shorter than 20 bytes");
+        }
+        // Bound the avoid sets before trusting the declared counts with any
+        // allocation: a hostile count must cost nothing.
+        if (n_nodes > service::kMaxAvoid || n_edges > service::kMaxAvoid) {
+          return req.reject(ErrorCode::kBadAvoidSet,
+                            "route avoid set exceeds max_avoid=" +
+                                std::to_string(service::kMaxAvoid));
+        }
+        const std::size_t want = static_cast<std::size_t>(n_nodes) * 4 +
+                                 static_cast<std::size_t>(n_edges) * 8;
+        const std::size_t have = payload_.size() - r.pos;
+        if (have < want) {
+          return req.reject(ErrorCode::kTruncated,
+                            "route avoid sets truncated (" +
+                                std::to_string(have) + " bytes, need " +
+                                std::to_string(want) + ")");
+        }
+        if (have > want) {
+          return req.reject(ErrorCode::kBadBody,
+                            "route body has trailing bytes");
+        }
+        q.constraints.avoid_nodes.reserve(n_nodes);
+        for (std::uint32_t i = 0; i < n_nodes; ++i) {
+          q.constraints.avoid_nodes.push_back(r.u32());
+        }
+        q.constraints.avoid_edges.reserve(n_edges);
+        for (std::uint32_t i = 0; i < n_edges; ++i) {
+          const graph::NodeId a = r.u32();
+          const graph::NodeId b = r.u32();
+          q.constraints.avoid_edges.emplace_back(a, b);
+        }
+        break;
+      }
+      case kOpReport:
+        if (!empty_body("report")) return;
+        q.type = service::QueryType::kReport;
+        break;
+      case kOpBc:
+        q.type = service::QueryType::kBetweenness;
+        q.samples = r.u32();
+        if (!fixed_body("bc", "4 bytes")) return;
+        break;
+      default:
+        return req.reject(ErrorCode::kBadOpcode,
+                          "unknown request opcode " + std::to_string(op_));
+    }
+    req.kind = Request::Kind::kQuery;
+    req.queries.push_back(std::move(q));
+  }
+
+  std::istream& in_;
+  std::ostream& out_;
+  std::string payload_;    ///< the current frame's payload
+  std::uint8_t op_ = 0;    ///< the current frame's opcode
+  std::size_t body_ = 0;   ///< kBatch: offset of the entries in payload_
+};
+
+}  // namespace
 
 void append_batch_request(std::string& buf,
                           std::span<const service::Query> queries) {
-  std::string p;
-  begin_request(p, kOpBatch);
-  put_u32(p, static_cast<std::uint32_t>(queries.size()));
+  const std::size_t at = begin_frame(buf, kReqMagic1, kOpBatch);
+  put_u32(buf, static_cast<std::uint32_t>(queries.size()));
   for (const service::Query& q : queries) {
-    p.push_back(static_cast<char>(q.type));
-    put_u32(p, q.u);
-    put_u32(p, q.v);
+    buf.push_back(static_cast<char>(q.type));
+    put_u32(buf, q.u);
+    put_u32(buf, q.v);
   }
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, at);
 }
 
 void append_stats_request(std::string& buf) {
-  std::string p;
-  begin_request(p, kOpStats);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, begin_frame(buf, kReqMagic1, kOpStats));
 }
 
 void append_quit_request(std::string& buf) {
-  std::string p;
-  begin_request(p, kOpQuit);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, begin_frame(buf, kReqMagic1, kOpQuit));
 }
 
 void append_rebuild_request(std::string& buf) {
-  std::string p;
-  begin_request(p, kOpRebuild);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, begin_frame(buf, kReqMagic1, kOpRebuild));
 }
 
 void append_kpath_request(std::string& buf, graph::NodeId u, graph::NodeId v,
                           std::uint32_t k) {
-  std::string p;
-  begin_request(p, kOpKPath);
-  put_u32(p, u);
-  put_u32(p, v);
-  put_u32(p, k);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  const std::size_t at = begin_frame(buf, kReqMagic1, kOpKPath);
+  put_u32(buf, u);
+  put_u32(buf, v);
+  put_u32(buf, k);
+  end_frame(buf, at);
 }
 
 void append_route_request(std::string& buf, graph::NodeId u, graph::NodeId v,
                           const query::RouteConstraints& c) {
-  std::string p;
-  begin_request(p, kOpRoute);
-  put_u32(p, u);
-  put_u32(p, v);
-  put_u32(p, c.max_hops);
-  put_u32(p, static_cast<std::uint32_t>(c.avoid_nodes.size()));
-  put_u32(p, static_cast<std::uint32_t>(c.avoid_edges.size()));
-  for (const graph::NodeId x : c.avoid_nodes) put_u32(p, x);
+  const std::size_t at = begin_frame(buf, kReqMagic1, kOpRoute);
+  put_u32(buf, u);
+  put_u32(buf, v);
+  put_u32(buf, c.max_hops);
+  put_u32(buf, static_cast<std::uint32_t>(c.avoid_nodes.size()));
+  put_u32(buf, static_cast<std::uint32_t>(c.avoid_edges.size()));
+  for (const graph::NodeId x : c.avoid_nodes) put_u32(buf, x);
   for (const auto& [a, b] : c.avoid_edges) {
-    put_u32(p, a);
-    put_u32(p, b);
+    put_u32(buf, a);
+    put_u32(buf, b);
   }
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, at);
 }
 
 void append_report_request(std::string& buf) {
-  std::string p;
-  begin_request(p, kOpReport);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  end_frame(buf, begin_frame(buf, kReqMagic1, kOpReport));
 }
 
 void append_bc_request(std::string& buf, std::uint32_t samples) {
-  std::string p;
-  begin_request(p, kOpBc);
-  put_u32(p, samples);
-  put_u32(buf, static_cast<std::uint32_t>(p.size()));
-  buf.append(p);
+  const std::size_t at = begin_frame(buf, kReqMagic1, kOpBc);
+  put_u32(buf, samples);
+  end_frame(buf, at);
 }
 
 std::optional<Response> read_response(std::istream& in) {
@@ -339,7 +541,7 @@ std::optional<Response> read_response(std::istream& in) {
   const char m1 = static_cast<char>(r.u8());
   const std::uint8_t ver = r.u8();
   const std::uint8_t op = r.u8();
-  if (!r.ok || m0 != kRespMagic0 || m1 != kRespMagic1 || ver != kVersion) {
+  if (!r.ok || m0 != kMagic0 || m1 != kRespMagic1 || ver != kVersion) {
     throw std::runtime_error("wire: bad response header");
   }
   Response resp;
@@ -351,13 +553,7 @@ std::optional<Response> read_response(std::istream& in) {
       for (std::uint32_t i = 0; r.ok && i < count; ++i) {
         service::QueryResult qr;
         qr.type = static_cast<service::QueryType>(r.u8());
-        const std::uint8_t ok = r.u8();
-        if (ok == 0) {
-          const std::uint32_t mlen = r.u32();
-          qr.error = r.bytes(mlen);
-          qr.ok = false;
-        } else {
-          qr.ok = true;
+        if (read_status(r, &qr)) {
           qr.dist = r.i64();
           qr.next_hop = r.u32();
           const std::uint32_t plen = r.count(4);
@@ -454,295 +650,9 @@ std::optional<Response> read_response(std::istream& in) {
 }
 
 int serve_binary(const service::QueryService& svc, std::istream& in,
-                 std::ostream& out, const service::ServeOptions& opts) {
-  int errors = 0;
-  const auto fail = [&](ErrorCode code, const std::string& msg) {
-    ++errors;
-    frame_and_write(out, make_error_payload(code, msg));
-  };
-  for (;;) {
-    std::string lenbuf(4, '\0');
-    in.read(lenbuf.data(), 4);
-    if (in.gcount() == 0) return errors;  // clean EOF at a frame boundary
-    if (in.gcount() != 4) {
-      fail(ErrorCode::kTruncated, "stream ended inside a length prefix");
-      return errors;
-    }
-    Reader lr(lenbuf);
-    const std::uint32_t len = lr.u32();
-    if (len > kMaxFrameBytes) {
-      // The declared payload may not even exist; resync is impossible.
-      fail(ErrorCode::kFrameTooLarge,
-           "frame of " + std::to_string(len) + " bytes exceeds limit of " +
-               std::to_string(kMaxFrameBytes));
-      return errors;
-    }
-    std::string payload;
-    if (!read_exact(in, payload, len)) {
-      fail(ErrorCode::kTruncated, "stream ended inside a frame payload");
-      return errors;
-    }
-    // From here every error is recoverable: the bad frame is fully consumed,
-    // so answer with an ERROR frame and keep serving.
-    Reader r(payload);
-    const char m0 = static_cast<char>(r.u8());
-    const char m1 = static_cast<char>(r.u8());
-    if (!r.ok || m0 != kReqMagic0 || m1 != kReqMagic1) {
-      fail(ErrorCode::kBadMagic, "request does not start with 'DQ'");
-      continue;
-    }
-    const std::uint8_t ver = r.u8();
-    if (!r.ok || ver != kVersion) {
-      fail(ErrorCode::kBadVersion,
-           "unsupported protocol version " + std::to_string(ver));
-      continue;
-    }
-    const std::uint8_t op = r.u8();
-    if (!r.ok) {
-      fail(ErrorCode::kTruncated, "request header shorter than 4 bytes");
-      continue;
-    }
-    switch (op) {
-      case kOpQuit:
-        return errors;
-      case kOpStats: {
-        std::ostringstream json;
-        obs::JsonWriter w(json);
-        svc.stats().write_json(w);
-        std::string p;
-        p.push_back(kRespMagic0);
-        p.push_back(kRespMagic1);
-        p.push_back(static_cast<char>(kVersion));
-        p.push_back(static_cast<char>(kOpStatsResp));
-        const std::string doc = json.str();
-        put_u32(p, static_cast<std::uint32_t>(doc.size()));
-        p.append(doc);
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpRebuild: {
-        if (!opts.on_rebuild) {
-          fail(ErrorCode::kBadOpcode,
-               "rebuild is not available on this session");
-          break;
-        }
-        const service::RebuildOutcome rb = opts.on_rebuild();
-        if (!rb.ok) {
-          // A failed rebuild is a server-side condition, not a protocol
-          // error: report it without counting toward the malformed total.
-          frame_and_write(out, make_error_payload(ErrorCode::kBadOpcode,
-                                                  "rebuild failed: " +
-                                                      rb.error));
-          break;
-        }
-        std::string p;
-        p.push_back(kRespMagic0);
-        p.push_back(kRespMagic1);
-        p.push_back(static_cast<char>(kVersion));
-        p.push_back(static_cast<char>(kOpRebuildResp));
-        put_u64(p, rb.epoch);
-        put_u64(p, rb.build_ns);
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpBatch: {
-        const std::uint32_t count = r.u32();
-        if (!r.ok) {
-          fail(ErrorCode::kTruncated, "batch frame missing its count");
-          break;
-        }
-        if (count > svc.config().max_batch) {
-          fail(ErrorCode::kBatchTooLarge,
-               "batch of " + std::to_string(count) +
-                   " queries exceeds max_batch=" +
-                   std::to_string(svc.config().max_batch));
-          break;
-        }
-        if (payload.size() - r.pos != count * kQueryWireBytes) {
-          fail(ErrorCode::kTruncated,
-               "batch body holds " +
-                   std::to_string((payload.size() - r.pos) / kQueryWireBytes) +
-                   " queries but declares " + std::to_string(count));
-          break;
-        }
-        std::vector<service::Query> queries;
-        queries.reserve(count);
-        bool bad_type = false;
-        for (std::uint32_t i = 0; i < count; ++i) {
-          const std::uint8_t t = r.u8();
-          service::Query q;
-          q.u = r.u32();
-          q.v = r.u32();
-          if (t >= service::kPointQueryTypeCount) {
-            // Analytics types have dedicated opcodes: their bodies are not
-            // the fixed-size records a batch frame is made of.
-            bad_type = true;
-            break;
-          }
-          q.type = static_cast<service::QueryType>(t);
-          queries.push_back(q);
-        }
-        if (bad_type) {
-          // Reject the whole batch: partial answers would desynchronize the
-          // caller's results[i] <-> queries[i] pairing.
-          fail(ErrorCode::kBadQueryType,
-               "batch contains a query type outside dist/next/path "
-               "(analytics use dedicated opcodes)");
-          break;
-        }
-        const std::vector<service::QueryResult> results =
-            svc.query_batch(queries);
-        std::string p;
-        p.push_back(kRespMagic0);
-        p.push_back(kRespMagic1);
-        p.push_back(static_cast<char>(kVersion));
-        p.push_back(static_cast<char>(kOpBatchResp));
-        put_u32(p, static_cast<std::uint32_t>(results.size()));
-        for (const service::QueryResult& qr : results) append_result(p, qr);
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpKPath: {
-        service::Query q;
-        q.type = service::QueryType::kKPaths;
-        q.u = r.u32();
-        q.v = r.u32();
-        q.k = r.u32();
-        if (!r.ok) {
-          fail(ErrorCode::kTruncated, "kpath body shorter than 12 bytes");
-          break;
-        }
-        if (r.pos != payload.size()) {
-          fail(ErrorCode::kBadBody, "kpath body has trailing bytes");
-          break;
-        }
-        if (q.k == 0) {
-          fail(ErrorCode::kBadK, "kpath k must be >= 1");
-          break;
-        }
-        const service::QueryResult qr = svc.query(q);
-        std::string p;
-        begin_response(p, kOpKPathResp);
-        put_status(p, qr);
-        if (qr.ok) {
-          put_u32(p, static_cast<std::uint32_t>(qr.routes.size()));
-          for (const query::Route& rt : qr.routes) put_route(p, rt);
-        }
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpRoute: {
-        service::Query q;
-        q.type = service::QueryType::kRoute;
-        q.u = r.u32();
-        q.v = r.u32();
-        q.constraints.max_hops = r.u32();
-        const std::uint32_t n_nodes = r.u32();
-        const std::uint32_t n_edges = r.u32();
-        if (!r.ok) {
-          fail(ErrorCode::kTruncated, "route header shorter than 20 bytes");
-          break;
-        }
-        // Bound the avoid sets before trusting the declared counts with any
-        // allocation: a hostile count must cost nothing.
-        if (n_nodes > svc.config().max_avoid ||
-            n_edges > svc.config().max_avoid) {
-          fail(ErrorCode::kBadAvoidSet,
-               "route avoid set exceeds max_avoid=" +
-                   std::to_string(svc.config().max_avoid));
-          break;
-        }
-        const std::size_t want = static_cast<std::size_t>(n_nodes) * 4 +
-                                 static_cast<std::size_t>(n_edges) * 8;
-        const std::size_t have = payload.size() - r.pos;
-        if (have < want) {
-          fail(ErrorCode::kTruncated,
-               "route avoid sets truncated (" + std::to_string(have) +
-                   " bytes, need " + std::to_string(want) + ")");
-          break;
-        }
-        if (have > want) {
-          fail(ErrorCode::kBadBody, "route body has trailing bytes");
-          break;
-        }
-        q.constraints.avoid_nodes.reserve(n_nodes);
-        for (std::uint32_t i = 0; i < n_nodes; ++i) {
-          q.constraints.avoid_nodes.push_back(r.u32());
-        }
-        q.constraints.avoid_edges.reserve(n_edges);
-        for (std::uint32_t i = 0; i < n_edges; ++i) {
-          const graph::NodeId a = r.u32();
-          const graph::NodeId b = r.u32();
-          q.constraints.avoid_edges.emplace_back(a, b);
-        }
-        const service::QueryResult qr = svc.query(q);
-        std::string p;
-        begin_response(p, kOpRouteResp);
-        put_status(p, qr);
-        if (qr.ok) {
-          p.push_back(qr.feasible ? '\1' : '\0');
-          if (qr.feasible) put_route(p, qr.routes.front());
-        }
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpReport: {
-        if (r.pos != payload.size()) {
-          fail(ErrorCode::kBadBody, "report body must be empty");
-          break;
-        }
-        service::Query q;
-        q.type = service::QueryType::kReport;
-        const service::QueryResult qr = svc.query(q);
-        std::string p;
-        begin_response(p, kOpReportResp);
-        put_status(p, qr);
-        if (qr.ok) {
-          const query::GraphReport& g = qr.report;
-          put_i64(p, g.radius);
-          put_i64(p, g.diameter);
-          put_u64(p, g.reachable_pairs);
-          put_u32(p, static_cast<std::uint32_t>(g.per_source.size()));
-          for (const query::SourceReport& s : g.per_source) {
-            put_i64(p, s.eccentricity);
-            put_i64(p, s.farness);
-            put_u32(p, s.reached);
-          }
-        }
-        frame_and_write(out, p);
-        break;
-      }
-      case kOpBc: {
-        service::Query q;
-        q.type = service::QueryType::kBetweenness;
-        q.samples = r.u32();
-        if (!r.ok) {
-          fail(ErrorCode::kTruncated, "bc body shorter than 4 bytes");
-          break;
-        }
-        if (r.pos != payload.size()) {
-          fail(ErrorCode::kBadBody, "bc body has trailing bytes");
-          break;
-        }
-        const service::QueryResult qr = svc.query(q);
-        std::string p;
-        begin_response(p, kOpBcResp);
-        put_status(p, qr);
-        if (qr.ok) {
-          put_u32(p, static_cast<std::uint32_t>(qr.centrality.size()));
-          for (const double d : qr.centrality) {
-            put_u64(p, std::bit_cast<std::uint64_t>(d));
-          }
-        }
-        frame_and_write(out, p);
-        break;
-      }
-      default:
-        fail(ErrorCode::kBadOpcode,
-             "unknown request opcode " + std::to_string(op));
-        break;
-    }
-  }
+                 std::ostream& out, const SessionOptions& opts) {
+  FrameCodec io(in, out);
+  return run_session(svc, io, opts);
 }
 
 }  // namespace dapsp::serve::wire

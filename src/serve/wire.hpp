@@ -38,15 +38,19 @@
 // qtype is 0=dist 1=next 2=path; dist/next use the library sentinels
 // (kInfDist, kNoNode) verbatim.  BATCH frames carry only those point types
 // -- the analytics families have dedicated opcodes because their bodies and
-// answers are not fixed-size records.  Malformed input is answered with a
-// structured ERROR frame, never best-effort partial output: recoverable
-// frames (bad magic/version/opcode, oversized or corrupt batch body, a bad
-// k / avoid-set / trailing analytics body) are consumed whole and serving
-// continues; a truncated length prefix or payload cannot be resynchronized
-// and ends the session after the ERROR frame.  Oversized batches (count >
-// config().max_batch) are rejected with kBatchTooLarge before any query
-// executes; service-level failures (bad ids, analytics unavailable) travel
-// in-band as a status(err) inside the family's own response frame.
+// answers are not fixed-size records.  An answer's opcode is its request's
+// with the high bit set; 0xEE marks an ERROR frame.
+//
+// Malformed input is answered with a structured ERROR frame (codes in
+// serve/session.hpp), never best-effort partial output.  A frame whose body
+// is shorter than its fields or counts is `truncated`, one that is longer
+// is `bad_body`; such frames are consumed whole and serving continues.  A
+// truncated length prefix or payload, or a length above kMaxFrameBytes,
+// cannot be resynchronized and ends the session after the ERROR frame.  A
+// BATCH that declares more than the session's max_batch entries is rejected
+// (batch_too_large) before its body is decoded.  Service-level failures
+// (bad ids, analytics unavailable) travel in-band as a status(err) inside
+// the family's own response frame.
 #pragma once
 
 #include <cstdint>
@@ -56,27 +60,11 @@
 #include <string>
 #include <vector>
 
-#include "service/query_service.hpp"
+#include "serve/session.hpp"
 
 namespace dapsp::serve::wire {
 
 inline constexpr std::size_t kMaxFrameBytes = 64u << 20;  ///< 64 MiB
-
-enum class ErrorCode : std::uint16_t {
-  kBadMagic = 1,      ///< payload does not start with 'D','Q'
-  kBadVersion = 2,    ///< unknown protocol version
-  kBadOpcode = 3,     ///< unknown request opcode
-  kTruncated = 4,     ///< stream ended inside a frame, or body shorter
-                      ///< than its declared count
-  kFrameTooLarge = 5, ///< length prefix exceeds kMaxFrameBytes
-  kBatchTooLarge = 6, ///< batch count exceeds the service's max_batch
-  kBadQueryType = 7,  ///< batch qtype byte outside the point types {0,1,2}
-  kBadK = 8,          ///< KPATH with k == 0
-  kBadAvoidSet = 9,   ///< ROUTE avoid-set count exceeds the service limit
-  kBadBody = 10,      ///< analytics body has the wrong size (trailing bytes)
-};
-
-const char* error_code_name(ErrorCode c);
 
 // --- client-side encoding (tests, benches, remote callers) ----------------
 
@@ -117,13 +105,13 @@ struct Response {
 /// not expected input).
 std::optional<Response> read_response(std::istream& in);
 
-// --- server loop -----------------------------------------------------------
+// --- server ----------------------------------------------------------------
 
-/// Reads request frames from `in` until EOF or a QUIT frame, answering each
-/// on `out`; BATCH frames execute through svc.query_batch (one snapshot per
-/// frame, results in request order).  Returns the number of ERROR frames
-/// emitted, mirroring serve_stream's malformed-line count.
+/// serve_session in Format::kBinary: answers request frames from `in` on
+/// `out` until EOF or a QUIT frame; BATCH frames execute through
+/// svc.query_batch (one snapshot per frame, results in request order).
+/// Returns the number of ERROR frames counted as protocol errors.
 int serve_binary(const service::QueryService& svc, std::istream& in,
-                 std::ostream& out, const service::ServeOptions& opts = {});
+                 std::ostream& out, const SessionOptions& opts = {});
 
 }  // namespace dapsp::serve::wire

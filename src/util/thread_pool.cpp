@@ -73,7 +73,7 @@ void ThreadPool::pin_threads() {
     cpu_set_t set;
     CPU_ZERO(&set);
     // Leave CPU 0 to the (unpinned) caller when there is room.
-    CPU_SET(static_cast<int>((i + 1) % cpus), &set);
+    CPU_SET((i + 1) % cpus, &set);
     // Best effort: an affinity failure (e.g. restricted cpuset) is harmless.
     (void)pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set),
                                  &set);

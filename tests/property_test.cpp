@@ -257,7 +257,9 @@ void check_route(const Graph& g, NodeId u, NodeId v, const query::Route& rt,
 /// Checks a route against the constraints it was answered under.
 void check_constraints(const query::Route& rt, const query::RouteConstraints& c,
                        const std::string& ctx) {
-  if (c.max_hops != 0) EXPECT_LE(rt.hops(), c.max_hops) << ctx;
+  if (c.max_hops != 0) {
+    EXPECT_LE(rt.hops(), c.max_hops) << ctx;
+  }
   for (const NodeId x : c.avoid_nodes) {
     for (const NodeId y : rt.nodes) EXPECT_NE(x, y) << ctx;
   }

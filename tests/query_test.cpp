@@ -23,6 +23,7 @@
 #include "seq/centrality.hpp"
 #include "seq/constrained.hpp"
 #include "seq/yen.hpp"
+#include "serve/session.hpp"
 #include "service/query_service.hpp"
 #include "util/thread_pool.hpp"
 
@@ -216,11 +217,7 @@ TEST(QueryServiceAnalytics, UnavailableWithoutGraph) {
 
 TEST(QueryServiceAnalytics, EnforcesKAndAvoidAndHopLimits) {
   const Graph g = graph::erdos_renyi(64, 0.1, {1, 5, 0.0}, 12);
-  QueryServiceConfig cfg;
-  cfg.max_k = 4;
-  cfg.max_avoid = 2;
-  cfg.max_hops = 8;
-  const AnalyticsService as(g, cfg);
+  const AnalyticsService as(g);
   const QueryService& svc = as.svc;
 
   Query kq;
@@ -228,24 +225,28 @@ TEST(QueryServiceAnalytics, EnforcesKAndAvoidAndHopLimits) {
   kq.v = 5;
   kq.k = 0;
   EXPECT_NE(svc.query(kq).error.find("k must be"), std::string::npos);
-  kq.k = 5;
+  kq.k = kMaxK + 1;
   EXPECT_NE(svc.query(kq).error.find("k must be"), std::string::npos);
-  kq.k = 4;
+  kq.k = kMaxK;
   EXPECT_TRUE(svc.query(kq).ok);
 
   Query rq;
   rq.type = QueryType::kRoute;
   rq.v = 5;
-  rq.constraints.avoid_nodes = {1, 2, 3};
+  rq.constraints.avoid_nodes.assign(kMaxAvoid + 1, 9);
   EXPECT_NE(svc.query(rq).error.find("max_avoid"), std::string::npos);
   rq.constraints.avoid_nodes.clear();
-  // Between the limit and the vacuous region (>= n-1 = 63): refused.
-  rq.constraints.max_hops = 20;
-  EXPECT_NE(svc.query(rq).error.find("max_hops"), std::string::npos);
-  // Vacuous budgets are free no matter how large.
-  rq.constraints.max_hops = 63;
+  rq.constraints.avoid_edges.assign(kMaxAvoid + 1, {9, 10});
+  EXPECT_NE(svc.query(rq).error.find("max_avoid"), std::string::npos);
+  rq.constraints.avoid_edges.assign(kMaxAvoid, {9, 10});
   EXPECT_TRUE(svc.query(rq).ok);
-  rq.constraints.max_hops = 1000;
+  rq.constraints.avoid_edges.clear();
+  // A budget above kMaxHops is refused only below the vacuous region
+  // (>= n-1), which starts below kMaxHops on any closure small enough for a
+  // test (the refusal needs n > kMaxHops + 2): here both are accepted.
+  rq.constraints.max_hops = kMaxHops + 1;
+  EXPECT_TRUE(svc.query(rq).ok);
+  rq.constraints.max_hops = 63;
   EXPECT_TRUE(svc.query(rq).ok);
   rq.constraints.max_hops = 8;
   EXPECT_TRUE(svc.query(rq).ok);
@@ -393,21 +394,6 @@ TEST(QueryServiceAnalytics, CacheHitsOnRepeatMissesAfterSwap) {
   EXPECT_TRUE(first.report == after.report);  // same graph, same answer
 }
 
-TEST(QueryServiceAnalytics, CacheDisabledByConfig) {
-  QueryServiceConfig cfg;
-  cfg.path_cache_capacity = 0;
-  cfg.analytics_cache_capacity = 0;
-  const AnalyticsService as(diamond(), cfg);
-  const QueryService& svc = as.svc;
-  Query q;
-  q.type = QueryType::kReport;
-  (void)svc.query(q);
-  (void)svc.query(q);
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.cache_hits, 0u);
-  EXPECT_EQ(st.cache_misses, 0u);
-}
-
 TEST(QueryServiceAnalytics, ResetStatsClearsCacheCounters) {
   QueryServiceConfig cfg;
   cfg.path_cache_capacity = 0;
@@ -430,14 +416,14 @@ TEST(QueryServiceAnalytics, ResetStatsClearsCacheCounters) {
 
 TEST(QueryParse, AnalyticsForms) {
   std::string err;
-  auto q = QueryService::parse_query("kpath 2 7 4", &err);
+  auto q = serve::parse_query("kpath 2 7 4", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_EQ(q->type, QueryType::kKPaths);
   EXPECT_EQ(q->u, 2u);
   EXPECT_EQ(q->v, 7u);
   EXPECT_EQ(q->k, 4u);
 
-  q = QueryService::parse_query(
+  q = serve::parse_query(
       "route 1 9 hops=3 avoid=2,5 avoidedge=0-1,4-6", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_EQ(q->type, QueryType::kRoute);
@@ -447,36 +433,36 @@ TEST(QueryParse, AnalyticsForms) {
   EXPECT_EQ(q->constraints.avoid_edges[0], (std::pair<NodeId, NodeId>{0, 1}));
   EXPECT_EQ(q->constraints.avoid_edges[1], (std::pair<NodeId, NodeId>{4, 6}));
 
-  q = QueryService::parse_query("route 1 9", &err);
+  q = serve::parse_query("route 1 9", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_TRUE(q->constraints.unconstrained());
 
-  q = QueryService::parse_query("report", &err);
+  q = serve::parse_query("report", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_EQ(q->type, QueryType::kReport);
 
-  q = QueryService::parse_query("bc", &err);
+  q = serve::parse_query("bc", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_EQ(q->type, QueryType::kBetweenness);
   EXPECT_EQ(q->samples, 0u);
-  q = QueryService::parse_query("bc 16", &err);
+  q = serve::parse_query("bc 16", &err);
   ASSERT_TRUE(q) << err;
   EXPECT_EQ(q->samples, 16u);
 }
 
 TEST(QueryParse, AnalyticsFormErrors) {
   std::string err;
-  EXPECT_FALSE(QueryService::parse_query("kpath 2 7", &err));
-  EXPECT_FALSE(QueryService::parse_query("kpath 2 7 0", &err));
+  EXPECT_FALSE(serve::parse_query("kpath 2 7", &err));
+  EXPECT_FALSE(serve::parse_query("kpath 2 7 0", &err));
   EXPECT_NE(err.find("positive"), std::string::npos);
-  EXPECT_FALSE(QueryService::parse_query("route 1 9 hops=x", &err));
-  EXPECT_FALSE(QueryService::parse_query("route 1 9 avoid=a,b", &err));
-  EXPECT_FALSE(QueryService::parse_query("route 1 9 avoidedge=3", &err));
-  EXPECT_FALSE(QueryService::parse_query("route 1 9 frobnicate=1", &err));
+  EXPECT_FALSE(serve::parse_query("route 1 9 hops=x", &err));
+  EXPECT_FALSE(serve::parse_query("route 1 9 avoid=a,b", &err));
+  EXPECT_FALSE(serve::parse_query("route 1 9 avoidedge=3", &err));
+  EXPECT_FALSE(serve::parse_query("route 1 9 frobnicate=1", &err));
   EXPECT_NE(err.find("unknown route option"), std::string::npos);
-  EXPECT_FALSE(QueryService::parse_query("report 3", &err));
-  EXPECT_FALSE(QueryService::parse_query("bc 1 2", &err));
-  EXPECT_FALSE(QueryService::parse_query("dist 1 2 3", &err));
+  EXPECT_FALSE(serve::parse_query("report 3", &err));
+  EXPECT_FALSE(serve::parse_query("bc 1 2", &err));
+  EXPECT_FALSE(serve::parse_query("dist 1 2 3", &err));
 }
 
 TEST(QueryRender, AnalyticsTextAndJson) {
@@ -487,12 +473,12 @@ TEST(QueryRender, AnalyticsTextAndJson) {
   q.v = 3;
   q.constraints.avoid_nodes = {3};
   std::ostringstream text;
-  QueryService::write_result_text(svc.query(q), text);
+  serve::write_result_text(svc.query(q), text);
   EXPECT_NE(text.str().find("infeasible"), std::string::npos);
 
   q.constraints.avoid_nodes.clear();
   std::ostringstream json;
-  QueryService::write_result_json(svc.query(q), json);
+  serve::write_result_json(svc.query(q), json);
   EXPECT_NE(json.str().find("\"feasible\":true"), std::string::npos);
   EXPECT_NE(json.str().find("\"path\":[0,1,3]"), std::string::npos);
   EXPECT_TRUE(obs::json_valid(json.str()));
@@ -502,21 +488,21 @@ TEST(QueryRender, AnalyticsTextAndJson) {
   kq.v = 3;
   kq.k = 2;
   std::ostringstream kjson;
-  QueryService::write_result_json(svc.query(kq), kjson);
+  serve::write_result_json(svc.query(kq), kjson);
   EXPECT_NE(kjson.str().find("\"routes\":["), std::string::npos);
   EXPECT_TRUE(obs::json_valid(kjson.str()));
 
   Query rq;
   rq.type = QueryType::kReport;
   std::ostringstream rjson;
-  QueryService::write_result_json(svc.query(rq), rjson);
+  serve::write_result_json(svc.query(rq), rjson);
   EXPECT_NE(rjson.str().find("\"radius\":"), std::string::npos);
   EXPECT_TRUE(obs::json_valid(rjson.str()));
 
   Query bq;
   bq.type = QueryType::kBetweenness;
   std::ostringstream bjson;
-  QueryService::write_result_json(svc.query(bq), bjson);
+  serve::write_result_json(svc.query(bq), bjson);
   EXPECT_NE(bjson.str().find("\"centrality\":["), std::string::npos);
   EXPECT_TRUE(obs::json_valid(bjson.str()));
 }
@@ -531,7 +517,8 @@ TEST(QueryServe, AnalyticsLinesThroughServeStream) {
       "bc 2\n"
       "stats\n");
   std::ostringstream out;
-  const int malformed = svc.serve_stream(in, out, /*json=*/false);
+  const int malformed =
+      serve::serve_session(svc, in, out, serve::Format::kText);
   EXPECT_EQ(malformed, 0);
   const std::string s = out.str();
   EXPECT_NE(s.find("2 paths"), std::string::npos);

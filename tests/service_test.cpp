@@ -9,6 +9,7 @@
 #include "core/paths.hpp"
 #include "graph/generators.hpp"
 #include "obs/json.hpp"
+#include "serve/session.hpp"
 #include "service/query_service.hpp"
 #include "seq/dijkstra.hpp"
 
@@ -357,20 +358,20 @@ TEST(QueryService, LatencyQuantilesExposed) {
 
 TEST(Protocol, ParseQuery) {
   std::string err;
-  const auto q = QueryService::parse_query("path 3 9", &err);
+  const auto q = serve::parse_query("path 3 9", &err);
   ASSERT_TRUE(q.has_value());
   EXPECT_EQ(q->type, QueryType::kPath);
   EXPECT_EQ(q->u, 3u);
   EXPECT_EQ(q->v, 9u);
-  EXPECT_TRUE(QueryService::parse_query("dist  0\t7", &err).has_value());
+  EXPECT_TRUE(serve::parse_query("dist  0\t7", &err).has_value());
 
-  EXPECT_FALSE(QueryService::parse_query("", &err).has_value());
-  EXPECT_FALSE(QueryService::parse_query("dist 1", &err).has_value());
-  EXPECT_FALSE(QueryService::parse_query("dist 1 2 3", &err).has_value());
-  EXPECT_FALSE(QueryService::parse_query("hop 1 2", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("dist 1", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("dist 1 2 3", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("hop 1 2", &err).has_value());
   EXPECT_NE(err.find("unknown query type"), std::string::npos);
-  EXPECT_FALSE(QueryService::parse_query("dist -1 2", &err).has_value());
-  EXPECT_FALSE(QueryService::parse_query("dist a b", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("dist -1 2", &err).has_value());
+  EXPECT_FALSE(serve::parse_query("dist a b", &err).has_value());
 }
 
 TEST(Protocol, ServeStreamTextAndJson) {
@@ -380,7 +381,8 @@ TEST(Protocol, ServeStreamTextAndJson) {
   std::istringstream in(
       "# comment\n\ndist 0 4\nnext 0 4\npath 0 4\nnope 1 2\nquit\ndist 0 1\n");
   std::ostringstream out;
-  const int malformed = svc.serve_stream(in, out, /*json=*/false);
+  const int malformed =
+      serve::serve_session(svc, in, out, serve::Format::kText);
   EXPECT_EQ(malformed, 1);
   const std::string text = out.str();
   EXPECT_NE(text.find("dist 0 4 = 8"), std::string::npos);
@@ -393,7 +395,7 @@ TEST(Protocol, ServeStreamTextAndJson) {
 
   std::istringstream jin("path 0 2\ndist 2 0\n");
   std::ostringstream jout;
-  EXPECT_EQ(svc.serve_stream(jin, jout, /*json=*/true), 0);
+  EXPECT_EQ(serve::serve_session(svc, jin, jout, serve::Format::kJson), 0);
   EXPECT_EQ(jout.str(),
             "{\"type\":\"path\",\"u\":0,\"v\":2,\"ok\":true,\"dist\":4,"
             "\"path\":[0,1,2]}\n"
@@ -410,7 +412,7 @@ TEST(Protocol, JsonErrorLinesEscapeUserInput) {
       "back\\slash 0 1\n"
       "\"quoted\" 1 2\n");
   std::ostringstream out;
-  EXPECT_EQ(svc.serve_stream(in, out, /*json=*/true), 3);
+  EXPECT_EQ(serve::serve_session(svc, in, out, serve::Format::kJson), 3);
   EXPECT_TRUE(obs::jsonl_invalid_lines(out.str()).empty()) << out.str();
   EXPECT_NE(out.str().find("evil\\\""), std::string::npos);
 }
@@ -440,7 +442,7 @@ TEST(Protocol, ServeJsonFuzzEveryLineParses) {
   for (const std::string& line : nasty) input += line + "\n";
   std::istringstream in(input);
   std::ostringstream out;
-  (void)svc.serve_stream(in, out, /*json=*/true);
+  (void)serve::serve_session(svc, in, out, serve::Format::kJson);
   EXPECT_TRUE(obs::jsonl_invalid_lines(out.str()).empty()) << out.str();
 }
 
@@ -449,7 +451,7 @@ TEST(Protocol, ServeJsonStatsLineIsStructured) {
   const QueryService svc(build_oracle(g, {Solver::kReference, 0, 0.5}));
   std::istringstream in("dist 0 3\ndist 0 99\nstats\n");
   std::ostringstream out;
-  EXPECT_EQ(svc.serve_stream(in, out, /*json=*/true), 0);
+  EXPECT_EQ(serve::serve_session(svc, in, out, serve::Format::kJson), 0);
   const std::string text = out.str();
   EXPECT_TRUE(obs::jsonl_invalid_lines(text).empty()) << text;
   // The stats line is a JSON object, not a stringified summary.
@@ -466,10 +468,10 @@ TEST(Protocol, UnreachableRendering) {
   const Graph g = std::move(b).build();
   const QueryService svc(build_oracle(g, {Solver::kReference, 0, 0.5}));
   std::ostringstream text;
-  QueryService::write_result_text(svc.query({QueryType::kPath, 0, 2}), text);
+  serve::write_result_text(svc.query({QueryType::kPath, 0, 2}), text);
   EXPECT_EQ(text.str(), "path 0 2 = unreachable\n");
   std::ostringstream json;
-  QueryService::write_result_json(svc.query({QueryType::kDist, 0, 2}), json);
+  serve::write_result_json(svc.query({QueryType::kDist, 0, 2}), json);
   EXPECT_EQ(json.str(),
             "{\"type\":\"dist\",\"u\":0,\"v\":2,\"ok\":true,\"dist\":null}\n");
 }

@@ -108,7 +108,7 @@ TEST(SnapshotSwap, FailedRebuildLeavesServingSnapshotUntouched) {
   EXPECT_EQ(svc.snapshot()->epoch(), 1u);
 
   manager.set_graph(Graph{});  // empty graph: the builder throws
-  const service::RebuildOutcome failed = manager.rebuild_now();
+  const RebuildOutcome failed = manager.rebuild_now();
   EXPECT_FALSE(failed.ok);
   EXPECT_FALSE(failed.error.empty());
   EXPECT_EQ(manager.stats().rebuilds_failed, 1u);
@@ -163,7 +163,7 @@ TEST(SnapshotSwap, RebuildNowReturnsOwnOutcomeUnderConcurrentRequests) {
   const auto t0 = std::chrono::steady_clock::now();
   std::uint64_t last_epoch = 0;
   for (int i = 0; i < 8; ++i) {
-    const service::RebuildOutcome out = manager.rebuild_now();
+    const RebuildOutcome out = manager.rebuild_now();
     // The covering build really ran and published: a real epoch, a real
     // duration, and monotone progress across our calls.
     EXPECT_TRUE(out.ok) << out.error;
@@ -253,7 +253,7 @@ TEST(SnapshotSwap, ConcurrentQueriesNeverObserveMixedSnapshots) {
   // Alternate the serving graph under the readers' feet.
   for (int cycle = 0; cycle < 12; ++cycle) {
     manager.set_graph(cycle % 2 == 0 ? gb : ga);
-    const service::RebuildOutcome rc = manager.rebuild_now();
+    const RebuildOutcome rc = manager.rebuild_now();
     ASSERT_TRUE(rc.ok) << rc.error;
   }
   stop.store(true, std::memory_order_release);
@@ -316,7 +316,7 @@ TEST(RunEnv, FailingFaultedRebuildStaysOutOfAForegroundTrace) {
   const Graph g = graph::erdos_renyi(64, 4.0 / 64, {0, 6, 0.2}, 3);
   constexpr std::uint64_t kTrials = 4;
   for (std::uint64_t trial = 0; trial < kTrials; ++trial) {
-    service::RebuildOutcome rebuilt;
+    RebuildOutcome rebuilt;
     std::thread rebuild([&] { rebuilt = manager.rebuild_now(); });
     obs::TraceRecorder rec;
     service::OracleBuildOptions traced;

@@ -31,7 +31,7 @@ constexpr service::OracleBuildOptions kRef{service::Solver::kReference, 0,
 /// response frames and reports the server's error count via *errors.
 std::vector<Response> roundtrip(const QueryService& svc,
                                 const std::string& request_bytes, int* errors,
-                                const service::ServeOptions& opts = {}) {
+                                const SessionOptions& opts = {}) {
   std::istringstream in(request_bytes);
   std::ostringstream out;
   *errors = serve_binary(svc, in, out, opts);
@@ -127,16 +127,15 @@ TEST_F(WireTest, StatsFrameCarriesValidJson) {
 }
 
 TEST_F(WireTest, OversizedBatchRejectedWholeAndSessionContinues) {
-  service::QueryServiceConfig cfg;
-  cfg.max_batch = 4;
-  QueryService small(service::build_oracle(g_, kRef), cfg);
+  SessionOptions opts;
+  opts.max_batch = 4;
   const std::vector<Query> five(5, Query{QueryType::kDist, 0, 1});
   const std::vector<Query> two(2, Query{QueryType::kDist, 0, 1});
   std::string req;
   append_batch_request(req, five);
   append_batch_request(req, two);  // must still be answered
   int errors = -1;
-  const auto frames = roundtrip(small, req, &errors);
+  const auto frames = roundtrip(svc_, req, &errors, opts);
   EXPECT_EQ(errors, 1);
   ASSERT_EQ(frames.size(), 2u);
   ASSERT_EQ(frames[0].kind, Response::Kind::kError);
@@ -144,7 +143,7 @@ TEST_F(WireTest, OversizedBatchRejectedWholeAndSessionContinues) {
   ASSERT_EQ(frames[1].kind, Response::Kind::kBatch);
   EXPECT_EQ(frames[1].results.size(), 2u);
   // No query of the oversized batch executed.
-  EXPECT_EQ(small.stats().total_queries(), 2u);
+  EXPECT_EQ(svc_.stats().total_queries(), 2u);
 }
 
 TEST_F(WireTest, BadMagicVersionOpcodeAreRecoverable) {
@@ -179,6 +178,47 @@ TEST_F(WireTest, BatchBodyShorterThanCountIsTruncatedError)  {
   EXPECT_EQ(errors, 1);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].code, ErrorCode::kTruncated);
+}
+
+TEST_F(WireTest, BatchBodyLongerThanCountIsBadBody) {
+  // Declares 1 query but carries 2: a long body, as ROUTE answers it.
+  std::string payload = "DQ";
+  payload.push_back('\x01');
+  payload.push_back('\x01');
+  put_u32(payload, 1);
+  for (int i = 0; i < 2; ++i) {
+    payload.push_back('\0');  // qtype dist
+    put_u32(payload, 0);
+    put_u32(payload, 1);
+  }
+  int errors = -1;
+  const auto frames = roundtrip(svc_, raw_frame(payload), &errors);
+  EXPECT_EQ(errors, 1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].code, ErrorCode::kBadBody);
+  EXPECT_EQ(frames[0].message, "batch body holds 2 queries but declares 1");
+  EXPECT_EQ(svc_.stats().total_queries(), 0u);
+}
+
+TEST_F(WireTest, EmptyBodyOpcodesRejectTrailingBytes) {
+  // STATS, QUIT and REBUILD take no body, like REPORT: one trailing byte is
+  // bad_body, and the session goes on (QUIT included).
+  std::string req;
+  for (const char op : {'\x02', '\x03', '\x04'}) {
+    req += raw_frame(std::string("DQ\x01", 3) + op + '\0');
+  }
+  append_stats_request(req);
+  int errors = -1;
+  const auto frames = roundtrip(svc_, req, &errors);
+  EXPECT_EQ(errors, 3);
+  ASSERT_EQ(frames.size(), 4u);
+  EXPECT_EQ(frames[0].code, ErrorCode::kBadBody);
+  EXPECT_EQ(frames[0].message, "stats body must be empty");
+  EXPECT_EQ(frames[1].code, ErrorCode::kBadBody);
+  EXPECT_EQ(frames[1].message, "quit body must be empty");
+  EXPECT_EQ(frames[2].code, ErrorCode::kBadBody);
+  EXPECT_EQ(frames[2].message, "rebuild body must be empty");
+  EXPECT_EQ(frames[3].kind, Response::Kind::kStats);
 }
 
 TEST_F(WireTest, BadQueryTypeRejectsWholeBatch) {
@@ -301,11 +341,26 @@ TEST_F(WireTest, RebuildWithoutHookIsAnError) {
   EXPECT_EQ(errors, 1);
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].kind, Response::Kind::kError);
+  EXPECT_EQ(frames[0].code, ErrorCode::kRebuildUnavailable);
+}
+
+TEST_F(WireTest, FailedRebuildIsRebuildFailedAndNotCounted) {
+  SessionOptions opts;
+  opts.on_rebuild = [] { return RebuildOutcome{false, 0, 0, "boom"}; };
+  std::string req;
+  append_rebuild_request(req);
+  int errors = -1;
+  const auto frames = roundtrip(svc_, req, &errors, opts);
+  EXPECT_EQ(errors, 0);
+  ASSERT_EQ(frames.size(), 1u);
+  ASSERT_EQ(frames[0].kind, Response::Kind::kError);
+  EXPECT_EQ(frames[0].code, ErrorCode::kRebuildFailed);
+  EXPECT_EQ(frames[0].message, "rebuild failed: boom");
 }
 
 TEST_F(WireTest, RebuildWithHookSwapsAndReportsEpoch) {
   SnapshotManager manager(svc_, g_, kRef, 4);
-  service::ServeOptions opts;
+  SessionOptions opts;
   opts.on_rebuild = [&manager] { return manager.rebuild_now(); };
   std::string req;
   append_rebuild_request(req);
@@ -329,6 +384,14 @@ TEST_F(WireTest, ErrorCodeNamesAreStable) {
   EXPECT_STREQ(error_code_name(ErrorCode::kBadK), "bad_k");
   EXPECT_STREQ(error_code_name(ErrorCode::kBadAvoidSet), "bad_avoid_set");
   EXPECT_STREQ(error_code_name(ErrorCode::kBadBody), "bad_body");
+  EXPECT_STREQ(error_code_name(ErrorCode::kParseError), "parse_error");
+  EXPECT_STREQ(error_code_name(ErrorCode::kBatchTruncated), "batch_truncated");
+  EXPECT_STREQ(error_code_name(ErrorCode::kRebuildUnavailable),
+               "rebuild_unavailable");
+  EXPECT_STREQ(error_code_name(ErrorCode::kRebuildFailed), "rebuild_failed");
+  // The u16 values are wire format.
+  EXPECT_EQ(static_cast<int>(ErrorCode::kBadBody), 10);
+  EXPECT_EQ(static_cast<int>(ErrorCode::kRebuildFailed), 14);
 }
 
 // ---------------------------------------------------------------------------
