@@ -359,9 +359,9 @@ int cmd_serve(const Options& opt, const Graph& g, const congest::RunEnv& env,
   if (opt.format == Format::kJson) format = serve::Format::kJson;
   if (opt.format == Format::kBinary) format = serve::Format::kBinary;
   const int malformed = serve::serve_session(svc, in, out, format, session);
-  if (!opt.quiet && opt.format == Format::kTable) {
-    out << svc.stats().summary() << "\n";
-  }
+  service::ServiceStats st = svc.stats();
+  st.protocol_errors = static_cast<std::uint64_t>(malformed);
+  if (!opt.quiet && opt.format == Format::kTable) out << st.summary() << "\n";
   return malformed == 0 ? 0 : 1;
 }
 

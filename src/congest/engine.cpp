@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <stdexcept>
 
 #include "congest/faults.hpp"
@@ -21,6 +22,9 @@ namespace {
 std::size_t g_force_threads = Engine::kNoThreadOverride;
 
 using Clock = std::chrono::steady_clock;
+
+/// Seed of the per-(receiver, round) inbox permutation (scramble_inbox).
+constexpr std::uint64_t kScrambleSeed = 0x5eed;
 
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
@@ -126,6 +130,8 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
   link_off_.assign(links, 0);
   link_lifetime_count_.assign(links, 0);
   out_.resize(n);
+  all_nodes_.resize(n);
+  std::iota(all_nodes_.begin(), all_nodes_.end(), NodeId{0});
   sent_mark_.assign(n, 0);
   inbox_.resize(n);
   inbox_mark_.assign(n, 0);
@@ -154,7 +160,12 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
     active_next_.reserve(n);
   }
   track_quiet_ = faults_ == nullptr;
-  if (track_quiet_) quiet_.assign(n, 0);
+  if (track_quiet_) {
+    // Nothing is known quiescent before round 0, whose refresh covers
+    // every node.
+    quiet_.assign(n, 0);
+    nonquiet_ = n;
+  }
   contexts_.reserve(n);
   for (NodeId v = 0; v < n; ++v) contexts_.emplace_back(*this, v);
 
@@ -198,18 +209,14 @@ bool Engine::all_quiescent() const {
                      [](const auto& p) { return p->quiescent(); });
 }
 
-void Engine::refresh_quiescence() {
-  // Senders and receivers may overlap; the update is idempotent so the
-  // double query is harmless (and rare).
-  const auto update = [&](NodeId v) {
+void Engine::refresh_quiescence(std::span<const NodeId> nodes) {
+  for (const NodeId v : nodes) {
     const std::uint8_t q = protocols_[v]->quiescent() ? 1 : 0;
     if (q != quiet_[v]) {
       quiet_[v] = q;
       nonquiet_ += q ? std::uint64_t(-1) : std::uint64_t(1);
     }
-  };
-  for (const NodeId v : touched_senders_) update(v);
-  for (const NodeId v : receivers_) update(v);
+  }
 }
 
 std::size_t Engine::plane_capacity_bytes() const {
@@ -384,16 +391,13 @@ void Engine::record_work_items() {
 void Engine::scramble_inbox(NodeId v) {
   auto& in = inbox_[v];
   if (in.size() <= 1) return;
-  util::Xoshiro256 rng(options_.scramble_seed ^ (v * 0x9e3779b9ULL) ^
-                       (round_ << 20));
+  util::Xoshiro256 rng(kScrambleSeed ^ (v * 0x9e3779b9ULL) ^ (round_ << 20));
   for (std::size_t i = in.size(); i > 1; --i) {
     std::swap(in[i - 1], in[rng.below(i)]);
   }
 }
 
-Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
-  const NodeId n = graph_.node_count();
-
+Engine::ClockTp Engine::deliver(std::span<const NodeId> senders, ClockTp t0) {
   // 0. Deferred inbox clearing: only the previous round's receivers hold
   // envelopes (see the invariant at inbox_'s declaration), so clearing that
   // list restores the all-empty state without touching the other n inboxes.
@@ -403,20 +407,16 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
     for (const NodeId v : receivers_) inbox_[v].clear();
   }
 
-  // 1. Collect this round's senders from the mark bytes (contiguous scan,
-  // no outbox-struct probing).  The all-nodes scan yields ascending order;
-  // the active-only path sorts so accounting, tracing, and lifetime updates
-  // happen in the dense engine's order regardless of how the active set was
-  // assembled.
+  // 1. Collect this round's senders from the send set's mark bytes (no
+  // outbox-struct probing).  Every node in id order yields ascending order;
+  // a sparse set is in wake order, so it is sorted, and accounting, tracing
+  // and lifetime updates happen in the dense engine's order regardless of
+  // how the active set was assembled.
   touched_senders_.clear();
-  if (scope == DeliverScope::kAllNodes) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (sent_mark_[v]) touched_senders_.push_back(v);
-    }
-  } else {
-    for (const NodeId v : active_now_) {
-      if (sent_mark_[v]) touched_senders_.push_back(v);
-    }
+  for (const NodeId v : senders) {
+    if (sent_mark_[v]) touched_senders_.push_back(v);
+  }
+  if (senders.data() != all_nodes_.data()) {
     std::sort(touched_senders_.begin(), touched_senders_.end());
   }
 
@@ -625,194 +625,80 @@ Engine::ClockTp Engine::deliver(DeliverScope scope, ClockTp t0) {
 
 // --- rounds ----------------------------------------------------------------
 
-void Engine::run_init_round() {
-  const NodeId n = graph_.node_count();
-  if (recorder_ != nullptr) {
-    trace_event_ = &recorder_->round_slot();
-    trace_event_->round = 0;
-  }
-  const auto t0 = Clock::now();
-  pool_->parallel_for(n, [&](std::size_t v) {
-    if (faults_ != nullptr && faults_->node_down(static_cast<NodeId>(v), 0)) {
-      return;
-    }
-    contexts_[v].rebind(0, {}, /*may_send=*/true);
-    if (profile_) {
-      const auto w0 = Clock::now();
-      protocols_[v]->init(contexts_[v]);
-      profile_node(static_cast<NodeId>(v), to_ns(seconds_since(w0)));
+template <Engine::Phase P>
+void Engine::run_phase(std::span<const NodeId> nodes) {
+  pool_->parallel_for(nodes.size(), [&](std::size_t i) {
+    const NodeId v = nodes[i];
+    NodeContext& ctx = contexts_[v];
+    if constexpr (P == Phase::kReceive) {
+      // No receive set holds a down node: the fault plane discards what is
+      // delivered to one.
+      ctx.rebind(round_, inbox_[v], /*may_send=*/false);
     } else {
-      protocols_[v]->init(contexts_[v]);
+      if (faults_ != nullptr && faults_->node_down(v, round_)) return;
+      ctx.rebind(round_, {}, /*may_send=*/true);
     }
+    const ClockTp w0 = profile_ ? Clock::now() : ClockTp{};
+    Protocol& p = *protocols_[v];
+    if constexpr (P == Phase::kInit) {
+      p.init(ctx);
+    } else if constexpr (P == Phase::kSend) {
+      p.send_phase(ctx);
+    } else {
+      p.receive_phase(ctx);
+    }
+    if (profile_) profile_node(v, to_ns(seconds_since(w0)));
   });
-  const auto ts = Clock::now();
-  const double send_dt = seconds_between(t0, ts);
-  stats_.send_seconds += send_dt;
-  stats_.send_ns_hist.record(to_ns(send_dt));
-  const auto td = deliver(DeliverScope::kAllNodes, ts);
-  if (faults_ != nullptr) {
-    // Only nodes the fault plane actually delivered to run a receive phase
-    // (an empty-inbox receive is a no-op by the Protocol contract, and the
-    // other inboxes are stale); down receivers never made it into the list.
-    pool_->parallel_for(receivers_.size(), [&](std::size_t i) {
-      const NodeId v = receivers_[i];
-      contexts_[v].rebind(0, inbox_[v], /*may_send=*/false);
-      if (profile_) {
-        const auto w0 = Clock::now();
-        protocols_[v]->receive_phase(contexts_[v]);
-        profile_node(v, to_ns(seconds_since(w0)));
-      } else {
-        protocols_[v]->receive_phase(contexts_[v]);
-      }
-    });
-  } else {
-    pool_->parallel_for(n, [&](std::size_t v) {
-      contexts_[v].rebind(0, inbox_[v], /*may_send=*/false);
-      if (profile_) {
-        const auto w0 = Clock::now();
-        protocols_[v]->receive_phase(contexts_[v]);
-        profile_node(static_cast<NodeId>(v), to_ns(seconds_since(w0)));
-      } else {
-        protocols_[v]->receive_phase(contexts_[v]);
-      }
-    });
-  }
-  const auto te = Clock::now();
-  const double recv_dt = seconds_between(td, te);
-  last_tick_ = te;
-  stats_.receive_seconds += recv_dt;
-  stats_.receive_ns_hist.record(to_ns(recv_dt));
-  if (track_quiet_) {
-    // Every node ran init, so the cache seeds from a full scan.
-    nonquiet_ = 0;
-    for (NodeId v = 0; v < n; ++v) {
-      const bool q = protocols_[v]->quiescent();
-      quiet_[v] = q ? 1 : 0;
-      nonquiet_ += q ? 0 : 1;
-    }
-  }
-  if (profile_) record_work_items();
-  if (trace_event_ != nullptr) {
-    trace_event_->send_s = send_dt;
-    trace_event_->receive_s = recv_dt;
-    recorder_->commit_round(*trace_event_);
-    trace_event_ = nullptr;
-  }
-  if (!dense_) {
-    for (NodeId v = 0; v < n; ++v) {
-      if (faults_ != nullptr && faults_->node_down(v, 0)) {
-        schedule(v, faults_->revive_round(v));
-        continue;
-      }
-      schedule(v, protocols_[v]->next_send_round(0));
-    }
-  }
-  init_done_ = true;
 }
 
 std::uint64_t Engine::step() {
-  if (!init_done_) {
-    run_init_round();
-    return round_messages_;
-  }
-  ++round_;
+  // Round 0, whose send step is init, and every dense round run all nodes;
+  // a sparse round runs the nodes whose wake is due.
+  const bool init = !init_done_;
+  const bool every_node = init || dense_;
+  if (!init) ++round_;
   stats_.rounds = round_;
   if (recorder_ != nullptr) {
     trace_event_ = &recorder_->round_slot();
     trace_event_->round = round_;
   }
+  if (!every_node) build_active_set();
+  const std::span<const NodeId> all = all_nodes_;
+  const std::span<const NodeId> senders =
+      every_node ? all : std::span<const NodeId>(active_now_);
 
-  double send_dt = 0.0;
-  double recv_dt = 0.0;
-  if (dense_) {
-    const NodeId n = graph_.node_count();
-    const auto t0 = chain_ticks_ ? last_tick_ : Clock::now();
-    pool_->parallel_for(n, [&](std::size_t v) {
-      if (faults_ != nullptr &&
-          faults_->node_down(static_cast<NodeId>(v), round_)) {
-        return;
-      }
-      contexts_[v].rebind(round_, {}, /*may_send=*/true);
-      if (profile_) {
-        const auto w0 = Clock::now();
-        protocols_[v]->send_phase(contexts_[v]);
-        profile_node(static_cast<NodeId>(v), to_ns(seconds_since(w0)));
-      } else {
-        protocols_[v]->send_phase(contexts_[v]);
-      }
-    });
-    const auto ts = Clock::now();
-    send_dt = seconds_between(t0, ts);
-    stats_.send_seconds += send_dt;
-    stats_.send_ns_hist.record(to_ns(send_dt));
-    const auto td = deliver(DeliverScope::kAllNodes, ts);
-    if (faults_ != nullptr) {
-      pool_->parallel_for(receivers_.size(), [&](std::size_t i) {
-        const NodeId v = receivers_[i];
-        contexts_[v].rebind(round_, inbox_[v], /*may_send=*/false);
-        if (profile_) {
-          const auto w0 = Clock::now();
-          protocols_[v]->receive_phase(contexts_[v]);
-          profile_node(v, to_ns(seconds_since(w0)));
-        } else {
-          protocols_[v]->receive_phase(contexts_[v]);
-        }
-      });
-    } else {
-      pool_->parallel_for(n, [&](std::size_t v) {
-        contexts_[v].rebind(round_, inbox_[v], /*may_send=*/false);
-        if (profile_) {
-          const auto w0 = Clock::now();
-          protocols_[v]->receive_phase(contexts_[v]);
-          profile_node(static_cast<NodeId>(v), to_ns(seconds_since(w0)));
-        } else {
-          protocols_[v]->receive_phase(contexts_[v]);
-        }
-      });
-    }
-    const auto te = Clock::now();
-    recv_dt = seconds_between(td, te);
-    last_tick_ = te;
+  const auto t0 = chain_ticks_ ? last_tick_ : Clock::now();
+  if (init) {
+    run_phase<Phase::kInit>(senders);
   } else {
-    build_active_set();
-    const auto t0 = chain_ticks_ ? last_tick_ : Clock::now();
-    pool_->parallel_for(active_now_.size(), [&](std::size_t i) {
-      const NodeId v = active_now_[i];
-      if (faults_ != nullptr && faults_->node_down(v, round_)) return;
-      contexts_[v].rebind(round_, {}, /*may_send=*/true);
-      if (profile_) {
-        const auto w0 = Clock::now();
-        protocols_[v]->send_phase(contexts_[v]);
-        profile_node(v, to_ns(seconds_since(w0)));
-      } else {
-        protocols_[v]->send_phase(contexts_[v]);
-      }
-    });
-    reschedule_after_phase(active_now_);
-    const auto ts = Clock::now();
-    send_dt = seconds_between(t0, ts);
-    stats_.send_seconds += send_dt;
-    stats_.send_ns_hist.record(to_ns(send_dt));
-    const auto td = deliver(DeliverScope::kActiveOnly, ts);
-    pool_->parallel_for(receivers_.size(), [&](std::size_t i) {
-      const NodeId v = receivers_[i];
-      contexts_[v].rebind(round_, inbox_[v], /*may_send=*/false);
-      if (profile_) {
-        const auto w0 = Clock::now();
-        protocols_[v]->receive_phase(contexts_[v]);
-        profile_node(v, to_ns(seconds_since(w0)));
-      } else {
-        protocols_[v]->receive_phase(contexts_[v]);
-      }
-    });
-    reschedule_after_phase(receivers_);
-    const auto te = Clock::now();
-    recv_dt = seconds_between(td, te);
-    last_tick_ = te;
+    run_phase<Phase::kSend>(senders);
+    if (!dense_) reschedule_after_phase(senders);
   }
+  const auto ts = Clock::now();
+  const double send_dt = seconds_between(t0, ts);
+  stats_.send_seconds += send_dt;
+  stats_.send_ns_hist.record(to_ns(send_dt));
+
+  const auto td = deliver(senders, ts);
+  // Where every node sent, every node receives (an empty inbox is a no-op by
+  // the Protocol contract) -- unless faults are on, when only the inboxes
+  // the fault plane filled this round are current.
+  run_phase<Phase::kReceive>(every_node && faults_ == nullptr
+                                 ? all
+                                 : std::span<const NodeId>(receivers_));
+  // Round 0 hints every node once, after its receive phase; a sparse round
+  // re-hints its receivers.
+  if (!dense_) reschedule_after_phase(init ? all : receivers_);
+  const auto te = Clock::now();
+  const double recv_dt = seconds_between(td, te);
+  last_tick_ = te;
   stats_.receive_seconds += recv_dt;
   stats_.receive_ns_hist.record(to_ns(recv_dt));
-  if (track_quiet_) refresh_quiescence();
+
+  if (track_quiet_) {
+    refresh_quiescence(init ? all : std::span<const NodeId>(touched_senders_));
+    refresh_quiescence(receivers_);
+  }
   if (profile_) record_work_items();
   if (trace_event_ != nullptr) {
     trace_event_->send_s = send_dt;
@@ -820,12 +706,13 @@ std::uint64_t Engine::step() {
     recorder_->commit_round(*trace_event_);
     trace_event_ = nullptr;
   }
+  init_done_ = true;
   return round_messages_;
 }
 
 RunStats Engine::run() {
   if (!init_done_) {
-    run_init_round();
+    step();
     chain_ticks_ = true;  // last_tick_ was taken moments ago, safe to reuse
   }
   // Chain round-boundary ticks only while this loop is driving: a tick left
@@ -840,8 +727,7 @@ RunStats Engine::run() {
     const std::uint64_t sent = step();
     chain_ticks_ = true;
     const bool frames_pending = faults_ != nullptr && faults_->has_pending();
-    if (options_.stop_on_quiescence && sent == 0 && !frames_pending &&
-        all_quiescent()) {
+    if (sent == 0 && !frames_pending && all_quiescent()) {
       return stats_;
     }
     if (!dense_ && active_next_.empty()) {
@@ -863,8 +749,7 @@ RunStats Engine::run() {
                                ? options_.max_rounds
                                : std::min(wake - 1, options_.max_rounds);
       if (target > round_) {
-        if (options_.stop_on_quiescence && !frames_pending &&
-            all_quiescent()) {
+        if (!frames_pending && all_quiescent()) {
           skip_silent_rounds(1);
           return stats_;
         }

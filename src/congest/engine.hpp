@@ -1,15 +1,15 @@
 // Synchronous CONGEST round engine.
 //
 // Executes one `Protocol` instance per node in lockstep rounds that match
-// the paper's algorithm structure (send at the start of a round, receive at
-// the end of the same round):
-//   round 0:  Protocol::init acts as the send step (the paper's algorithms
-//             mostly stay silent here; Algorithm 2's source does send), then
-//             messages are delivered and receive_phase runs.
-//   round r:  send_phase (may send along incident links, based on state from
-//             the end of round r-1), delivery, receive_phase (sees every
-//             message sent this round via Context::inbox(); sending here is
-//             an error).
+// the paper's algorithm structure: send at the start of a round, receive at
+// the end of the same round.  One round body, `step()`, runs every round:
+//   send:     round 0's send step is Protocol::init (the paper's algorithms
+//             mostly stay silent here; Algorithm 2's source does send), and
+//             round r's is send_phase, which may send along incident links
+//             based on state from the end of round r-1;
+//   deliver:  every message sent this round reaches its receiver's inbox;
+//   receive:  receive_phase sees every message delivered this round via
+//             Context::inbox(); sending here is an error.
 // This send/receive split matters: with zero-weight edges a pipelined
 // entry's scheduled send round can equal its arrival round, so an engine
 // that delivered messages one round later would miss schedules forever.
@@ -18,17 +18,19 @@
 // fills every inbox in (sender id, send order) order, so parallel and
 // single-threaded executions are bit-identical.
 //
-// Sparse execution (the default): most algorithms leave almost every node
-// idle in almost every round -- Algorithm 1's ceil(kappa + pos) schedule
-// sends at most one message per node per round and whole stretches of
-// rounds are silent.  The engine therefore runs a node's send_phase only
-// when the node's `next_send_round()` hint says it may act (or the default
-// hint, "every round", applies), and its receive_phase only when its inbox
-// is non-empty.  `Engine::run` additionally fast-forwards the round counter
-// across provably silent gaps.  Round/message/congestion statistics are
-// bit-identical to the dense schedule (see docs/PERF.md for the argument);
-// `RunEnv::dense` keeps the exhaustive all-nodes-per-round path as the
-// correctness oracle.
+// Which nodes run a phase is a node set, not a code path.  Round 0 runs
+// init at every node.  A sparse round (the default) runs send_phase only at
+// the nodes whose `next_send_round()` hint names it: most algorithms leave
+// almost every node idle in almost every round -- Algorithm 1's
+// ceil(kappa + pos) schedule sends at most one message per node per round
+// and whole stretches of rounds are silent.  `RunEnv::dense` keeps the
+// exhaustive schedule, send_phase at every node every round, as the
+// correctness oracle.  receive_phase runs at every node in round 0 and in
+// dense rounds, and otherwise (and always under faults) only at nodes whose
+// inbox is non-empty.  `Engine::run` additionally fast-forwards the round
+// counter across provably silent gaps.  Round/message/congestion statistics
+// are bit-identical to the dense schedule (see docs/PERF.md for the
+// argument).
 //
 // Termination: the engine stops at `max_rounds`, or earlier when no message
 // is in flight and every protocol reports `quiescent()` -- i.e. it would
@@ -126,9 +128,11 @@ class Protocol {
   /// Sparse-scheduler hint: the earliest round > `now` in which this node
   /// might send spontaneously (i.e. without receiving anything further), or
   /// kNeverSends if it will stay silent until a message arrives.  The engine
-  /// re-queries after init and after every send_phase / receive_phase the
-  /// node participates in, and guarantees send_phase runs in the returned
-  /// round (sooner if a message arrives in between).
+  /// queries every node once at the end of round 0, then re-queries after
+  /// every send_phase / receive_phase the node runs, and runs send_phase
+  /// exactly in the round the latest answer names.  An arriving message
+  /// runs receive_phase, not send_phase: only the hint re-queried after it
+  /// can bring the node's next send_phase forward.
   ///
   /// The default, "next round, always", reproduces the dense schedule
   /// exactly, so protocols without a hint behave as before (every round).
@@ -175,14 +179,12 @@ struct RunEnv {
 
 struct EngineOptions {
   Round max_rounds = 1'000'000;
-  bool stop_on_quiescence = true;
   bool record_per_round = false;
   /// Deterministically permute each inbox instead of delivering in
   /// (sender, send order).  The CONGEST model does not promise any arrival
   /// order; tests flip this to prove protocols only rely on message
   /// *content*.  Seeded per (receiver, round), so runs stay reproducible.
   bool scramble_inbox = false;
-  std::uint64_t scramble_seed = 0x5eed;
   RunEnv env{};
 };
 
@@ -231,9 +233,10 @@ class Engine {
   /// May be called once per engine.
   RunStats run();
 
-  /// Executes exactly one round (for step-debugging and tests).  Returns the
-  /// number of messages sent in that round.  Never fast-forwards: a silent
-  /// round advances the counter by exactly one.
+  /// Executes exactly one round -- round 0 on the first call -- and returns
+  /// the number of messages sent in it.  The engine's only round body:
+  /// run() calls it too.  Never fast-forwards: a silent round advances the
+  /// counter by exactly one.
   std::uint64_t step();
 
   const graph::Graph& graph() const noexcept { return graph_; }
@@ -267,27 +270,33 @@ class Engine {
  private:
   using ClockTp = std::chrono::steady_clock::time_point;
 
-  /// How deliver() discovers work: every node (init round / dense path) or
-  /// only the senders that were active this round.
-  enum class DeliverScope { kAllNodes, kActiveOnly };
+  enum class Phase { kInit, kSend, kReceive };
 
-  void run_init_round();
-  /// Delivers this round's sends.  `t_start` is the timestamp taken at the
-  /// end of the send phase (which doubles as delivery start); deliver()
-  /// reads the clock once at its end and returns that timestamp so the
-  /// caller can time the receive phase off it.  Together with the run-loop
-  /// tick chaining (round end doubles as next round's start, see
-  /// last_tick_) a steady-state round reads the clock 3 times instead of 6.
-  ClockTp deliver(DeliverScope scope, ClockTp t_start);
+  /// Runs phase P at every node of `nodes` on the pool: skips a down node
+  /// (init and send only), rebinds its context and, when profiling, times
+  /// it.  The phase is a template argument, so no node pays a phase branch.
+  template <Phase P>
+  void run_phase(std::span<const NodeId> nodes);
+  /// Delivers this round's sends.  `senders` is the round's send set:
+  /// all_nodes_, or the sparse active set, whose senders deliver() sorts.
+  /// `t_start` is the timestamp taken at the end of the send phase (which
+  /// doubles as delivery start); deliver() reads the clock once at its end
+  /// and returns that timestamp so the caller can time the receive phase
+  /// off it.  Together with the run-loop tick chaining (round end doubles
+  /// as next round's start, see last_tick_) a steady-state round reads the
+  /// clock 3 times instead of 6.
+  ClockTp deliver(std::span<const NodeId> senders, ClockTp t_start);
   /// Applies the per-(receiver, round) scramble permutation to v's inbox.
   void scramble_inbox(NodeId v);
   bool all_quiescent() const;
-  /// Re-queries quiescent() for this round's senders and receivers and folds
-  /// the result into the cached non-quiescent count.  Sound because the
-  /// Protocol contract (see next_send_round) forbids quiescent() changing in
-  /// a round where the node neither sent nor received.  Disabled under
-  /// faults, where down-forever nodes need the bespoke scan.
-  void refresh_quiescence();
+  /// Re-queries quiescent() for `nodes` (every node in round 0, this round's
+  /// senders and receivers after it) and folds the result into the cached
+  /// non-quiescent count; idempotent, so overlapping spans are harmless.
+  /// Sound because the Protocol contract (see next_send_round) forbids
+  /// quiescent() changing in a round where the node neither sent nor
+  /// received.  Disabled under faults, where down-forever nodes need the
+  /// bespoke scan.
+  void refresh_quiescence(std::span<const NodeId> nodes);
   /// Emits one obs::WorkItem per node that sent or received this round --
   /// a set (and ordering: node id ascending) that is identical for both
   /// schedulers and every thread count, so the critical path extracted
@@ -349,6 +358,7 @@ class Engine {
   std::vector<std::uint32_t> link_off_;      // start into sender columns
   std::vector<std::uint64_t> link_lifetime_count_;  // per link, whole run
   std::vector<Outbox> out_;                  // per sender, reused
+  std::vector<NodeId> all_nodes_;            // 0..n-1: the every-node set
   std::vector<std::uint8_t> sent_mark_;      // sender had sends this round
   std::vector<NodeId> touched_senders_;      // senders with messages, per round
   std::uint64_t round_messages_ = 0;         // messages this round
@@ -377,7 +387,7 @@ class Engine {
   // the bespoke scan).
   bool track_quiet_ = false;
   std::vector<std::uint8_t> quiet_;   // 1 = quiescent as of last query
-  std::uint64_t nonquiet_ = 0;        // number of zeros in quiet_
+  std::uint64_t nonquiet_ = 0;        // number of zeros in quiet_ (n at start)
 
   // Invariant between rounds (faultless path): every inbox is empty except
   // those of the most recent round's receivers_.  deliver() clears exactly

@@ -1,7 +1,6 @@
 #include "congest/metrics.hpp"
 
 #include <algorithm>
-#include <iomanip>
 #include <sstream>
 
 namespace dapsp::congest {
@@ -53,28 +52,6 @@ std::string RunStats::summary() const {
        << " max_backlog=" << faults.max_backlog << "}";
   }
   if (hit_round_limit) os << " [HIT ROUND LIMIT]";
-  return os.str();
-}
-
-std::string RunStats::histogram_summary() const {
-  if (round_messages_hist.empty()) return {};
-  std::ostringstream os;
-  os << "round_msgs[" << round_messages_hist.summary() << "]"
-     << " send_ns[" << send_ns_hist.summary() << "]"
-     << " deliver_ns[" << deliver_ns_hist.summary() << "]"
-     << " receive_ns[" << receive_ns_hist.summary() << "]";
-  return os.str();
-}
-
-std::string RunStats::timing_summary() const {
-  if (send_seconds == 0.0 && deliver_seconds == 0.0 && receive_seconds == 0.0 &&
-      skipped_rounds == 0) {
-    return {};
-  }
-  std::ostringstream os;
-  os << std::fixed << std::setprecision(4) << "send=" << send_seconds
-     << "s deliver=" << deliver_seconds << "s receive=" << receive_seconds
-     << "s skipped=" << skipped_rounds;
   return os.str();
 }
 

@@ -98,14 +98,6 @@ struct RunStats {
   RunStats& operator+=(const RunStats& o);
 
   std::string summary() const;
-
-  /// "send=..s deliver=..s receive=..s skipped=.." -- empty when nothing was
-  /// recorded (all timers zero and no rounds skipped).
-  std::string timing_summary() const;
-
-  /// Per-round distributions: "round_msgs[...] send_ns[...] deliver_ns[...]
-  /// receive_ns[...]" -- empty when no round was recorded.
-  std::string histogram_summary() const;
 };
 
 }  // namespace dapsp::congest

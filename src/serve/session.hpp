@@ -73,6 +73,9 @@ struct RebuildOutcome {
   std::uint64_t epoch = 0;
   std::uint64_t build_ns = 0;
   std::string error;
+
+  friend bool operator==(const RebuildOutcome&,
+                         const RebuildOutcome&) = default;
 };
 
 /// The protocol a session's streams speak.

@@ -55,9 +55,12 @@ int run_session(const service::QueryService& svc, Codec& io,
         fail(req.code, req.message);
         if (req.ends_session) return errors;
         break;
-      case Request::Kind::kStats:
-        io.stats(svc.stats());
+      case Request::Kind::kStats: {
+        service::ServiceStats st = svc.stats();
+        st.protocol_errors = static_cast<std::uint64_t>(errors);
+        io.stats(st);
         break;
+      }
       case Request::Kind::kRebuild:
         if (!opts.on_rebuild) {
           fail(ErrorCode::kRebuildUnavailable,

@@ -54,7 +54,7 @@ RebuildOutcome SnapshotManager::rebuild_now() {
   cv_.notify_one();
   std::unique_lock lock(mu_);
   done_cv_.wait(lock, [this, my_gen] { return done_gen_ >= my_gen; });
-  return last_outcome_;
+  return stats_.last;
 }
 
 SnapshotManager::Stats SnapshotManager::stats() const {
@@ -106,19 +106,15 @@ void SnapshotManager::run_one_rebuild(std::uint64_t claimed_gen) {
     const std::uint64_t epoch = svc_.swap_snapshot(std::move(snap), build_ns);
     std::lock_guard lock(mu_);
     ++stats_.rebuilds_ok;
-    stats_.last_build_ns = build_ns;
-    stats_.last_epoch = epoch;
-    stats_.last_error.clear();
     done_gen_ = claimed_gen;
-    last_outcome_ = {true, epoch, build_ns, {}};
+    stats_.last = {true, epoch, build_ns, {}};
   } catch (const std::exception& e) {
     // The serving snapshot is untouched: a failed build is an observability
     // event, not an outage.
     std::lock_guard lock(mu_);
     ++stats_.rebuilds_failed;
-    stats_.last_error = e.what();
     done_gen_ = claimed_gen;
-    last_outcome_ = {false, stats_.last_epoch, 0, e.what()};
+    stats_.last = {false, stats_.last.epoch, 0, e.what()};
   }
 }
 

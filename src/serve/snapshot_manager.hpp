@@ -21,7 +21,6 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <string>
 #include <thread>
 
 #include "graph/graph.hpp"
@@ -36,9 +35,9 @@ class SnapshotManager {
   struct Stats {
     std::uint64_t rebuilds_ok = 0;
     std::uint64_t rebuilds_failed = 0;
-    std::uint64_t last_build_ns = 0;
-    std::uint64_t last_epoch = 0;
-    std::string last_error;  ///< most recent failure, empty when none
+    /// The most recent rebuild's outcome; a failure carries the serving
+    /// snapshot's epoch and build_ns 0.
+    RebuildOutcome last;
   };
 
   /// The service must outlive the manager.  `shards` is the shard count for
@@ -94,11 +93,10 @@ class SnapshotManager {
 
   // Rebuild generations (all under mu_): a request bumps submitted_gen_;
   // the worker claims submitted_gen_ at dequeue and stores it into
-  // done_gen_ (with the outcome in last_outcome_) when that build lands.
+  // done_gen_ (with the outcome in stats_.last) when that build lands.
   // rebuild_now(gen g) waits for done_gen_ >= g.
   std::uint64_t submitted_gen_ = 0;
   std::uint64_t done_gen_ = 0;
-  RebuildOutcome last_outcome_;
   std::condition_variable done_cv_;  // wakes rebuild_now waiters
 
   std::thread worker_;

@@ -106,13 +106,6 @@ class QueryService::ResultCache {
     }
   }
 
-  void reset() {
-    for (Shard& s : shards_) {
-      std::lock_guard lock(s.mu);
-      s.hits = s.misses = s.evictions = 0;
-    }
-  }
-
  private:
   struct Entry {
     std::uint64_t key = 0;
@@ -206,23 +199,6 @@ struct QueryService::Recorder {
     out.errors = t.errors.load(std::memory_order_relaxed);
     out.error_ns = t.error_ns.load(std::memory_order_relaxed);
     return out;
-  }
-
-  void reset() {
-    for (PerType& t : types) {
-      for (auto& b : t.buckets) b = 0;
-      t.count = 0;
-      t.total_ns = 0;
-      t.min_ns = std::numeric_limits<std::uint64_t>::max();
-      t.max_ns = 0;
-      t.errors = 0;
-      t.error_ns = 0;
-    }
-    batches = 0;
-    std::lock_guard lock(swap_mu);
-    swaps = 0;
-    swap_ns = obs::Histogram{};
-    rebuild_ns = obs::Histogram{};
   }
 
   static void update_min(std::atomic<std::uint64_t>& m, std::uint64_t v) {
@@ -436,12 +412,6 @@ ServiceStats QueryService::stats() const {
     st.last_build_critpath = *cp;
   }
   return st;
-}
-
-void QueryService::reset_stats() {
-  recorder_->reset();
-  if (cache_) cache_->reset();
-  if (acache_) acache_->reset();
 }
 
 }  // namespace dapsp::service

@@ -137,10 +137,9 @@ class QueryService {
   /// and the whole batch answers from one snapshot (never a mix of epochs).
   std::vector<QueryResult> query_batch(std::span<const Query> queries) const;
 
-  /// Snapshot of the counters accumulated since construction / last reset,
-  /// plus the current snapshot's epoch and per-shard occupancy.
+  /// Snapshot of the counters accumulated since construction, plus the
+  /// current snapshot's epoch and per-shard occupancy.
   ServiceStats stats() const;
-  void reset_stats();
 
  private:
   class ResultCache;

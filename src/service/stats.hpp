@@ -92,6 +92,10 @@ struct QueryTypeStats {
 struct ServiceStats {
   std::array<QueryTypeStats, kQueryTypeCount> per_type;
   std::uint64_t batches = 0;  ///< query_batch calls
+  /// Errors of the session rendering these stats: malformed lines or
+  /// frames, rejected batches, unparsable batch entries.  The session sets
+  /// it; the service, which only executes, leaves it 0.
+  std::uint64_t protocol_errors = 0;
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -140,6 +144,7 @@ struct ServiceStats {
       per_type[i] += o.per_type[i];
     }
     batches += o.batches;
+    protocol_errors += o.protocol_errors;
     cache_hits += o.cache_hits;
     cache_misses += o.cache_misses;
     cache_evictions += o.cache_evictions;
@@ -157,7 +162,7 @@ struct ServiceStats {
   std::string summary() const {
     std::ostringstream os;
     os << "queries=" << total_queries() << " errors=" << total_errors()
-       << " batches=" << batches;
+       << " protocol_errors=" << protocol_errors << " batches=" << batches;
     // Every type is listed -- including ones that have served nothing yet --
     // so dashboards see new query families appear with zeroed (never
     // sentinel) histograms the moment a build ships them.
@@ -189,6 +194,7 @@ struct ServiceStats {
     w.begin_object()
         .field("queries", total_queries())
         .field("errors", total_errors())
+        .field("protocol_errors", protocol_errors)
         .field("batches", batches);
     w.key("types").begin_object();
     for (std::size_t i = 0; i < kQueryTypeCount; ++i) {

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "baseline/bf_apsp.hpp"
 #include "congest/engine.hpp"
+#include "congest/faults.hpp"
 #include "congest/primitives.hpp"
 #include "core/approx_apsp.hpp"
 #include "core/blocker_apsp.hpp"
@@ -14,6 +17,7 @@
 #include "graph/properties.hpp"
 #include "obs/histogram.hpp"
 #include "obs/trace.hpp"
+#include "util/rng.hpp"
 
 namespace dapsp::congest {
 namespace {
@@ -1012,6 +1016,257 @@ TEST(SparseDense, StepInterleavedWithRunMatches) {
     EXPECT_EQ(sp.value(), dp.value());
     EXPECT_EQ(sp.received(), dp.received());
   }
+}
+
+// ---------------------------------------------------------------------------
+// Phase call sets: which node runs which phase in which round.  Round 0 runs
+// init at every node, then (faultless) receive_phase at every node; a dense
+// faultless round runs send_phase and receive_phase at every node.
+// Otherwise send_phase runs only in the round named by the node's hint,
+// re-queried after its last phase, and receive_phase only at a node whose
+// inbox is non-empty.  A scripted protocol logs every call it gets; the
+// rules are checked on the logs, and a digest of the logs pins each
+// configuration's whole call sequence at every thread count.
+// ---------------------------------------------------------------------------
+
+enum PhaseKind : std::uint8_t { kInitCall, kSendCall, kReceiveCall };
+
+struct PhaseCall {
+  Round round;
+  PhaseKind phase;
+  std::uint32_t inbox;
+  Round hint;  ///< next_send_round(round) right after the call
+};
+
+/// Sends one message per scripted round to a neighbor picked by round.  A
+/// message whose field is 1 asks its receiver to reply next round, so a
+/// receive can move the receiver's hint; the hint is the next scripted or
+/// reply round, or kNeverSends.  Scripted rounds missed while crashed are
+/// skipped.
+class ScriptProtocol final : public Protocol {
+ public:
+  ScriptProtocol(NodeId self, std::vector<Round> script)
+      : self_(self), script_(std::move(script)) {}
+
+  void init(Context& ctx) override {
+    act(ctx);
+    log(ctx, kInitCall);
+  }
+
+  void send_phase(Context& ctx) override {
+    act(ctx);
+    log(ctx, kSendCall);
+  }
+
+  void receive_phase(Context& ctx) override {
+    for (const Envelope& e : ctx.inbox()) {
+      if (e.msg.f[0] == 1 && reply_ == kNeverSends) {
+        reply_ = ctx.round() + 1;
+        reply_to_ = e.from;
+      }
+    }
+    log(ctx, kReceiveCall);
+  }
+
+  bool quiescent() const override {
+    return next_ == script_.size() && reply_ == kNeverSends;
+  }
+
+  Round next_send_round(Round now) const override {
+    const auto it = std::upper_bound(script_.begin(), script_.end(), now);
+    return std::min(it == script_.end() ? kNeverSends : *it, reply_);
+  }
+
+  const std::vector<PhaseCall>& calls() const { return calls_; }
+
+ private:
+  void act(Context& ctx) {
+    const Round r = ctx.round();
+    while (next_ < script_.size() && script_[next_] < r) ++next_;
+    if (next_ < script_.size() && script_[next_] == r) {
+      ++next_;
+      const auto nbrs = ctx.neighbors();
+      ctx.send(nbrs[(self_ + r) % nbrs.size()],
+               Message(kPing, {r % 3 == 0 ? 1 : 0}));
+    }
+    if (reply_ <= r) {
+      if (reply_ == r) ctx.send(reply_to_, Message(kPing, {0}));
+      reply_ = kNeverSends;
+    }
+  }
+
+  void log(const Context& ctx, PhaseKind phase) {
+    calls_.push_back({ctx.round(), phase,
+                      static_cast<std::uint32_t>(ctx.inbox().size()),
+                      next_send_round(ctx.round())});
+  }
+
+  NodeId self_;
+  std::vector<Round> script_;
+  std::size_t next_ = 0;
+  Round reply_ = kNeverSends;
+  NodeId reply_to_ = 0;
+  std::vector<PhaseCall> calls_;
+};
+
+struct PhaseRun {
+  std::vector<std::vector<PhaseCall>> calls;  ///< per node
+  RunStats stats;
+};
+
+PhaseRun run_script(const Graph& g, bool dense, std::size_t threads,
+                    const FaultPlan* faults) {
+  std::vector<std::unique_ptr<Protocol>> procs;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    util::Xoshiro256 rng(0x5c21 + v);
+    std::vector<Round> script;
+    for (Round r = 0; r < 30; ++r) {
+      if (rng.chance(0.12)) script.push_back(r);
+    }
+    procs.push_back(std::make_unique<ScriptProtocol>(v, std::move(script)));
+  }
+  EngineOptions opt;
+  opt.env = RunEnv{threads, false, dense, nullptr, faults};
+  Engine engine(g, std::move(procs), opt);
+  PhaseRun run;
+  run.stats = engine.run();
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    run.calls.push_back(
+        static_cast<const ScriptProtocol&>(engine.protocol(v)).calls());
+  }
+  return run;
+}
+
+std::uint64_t call_digest(const PhaseRun& run) {
+  std::uint64_t h = 0xcbf29ce484222325ull;  // FNV-1a 64
+  const auto add = [&](std::uint64_t u) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ull;
+    }
+  };
+  for (std::size_t v = 0; v < run.calls.size(); ++v) {
+    for (const PhaseCall& c : run.calls[v]) {
+      add(v);
+      add(c.round);
+      add(c.phase);
+      add(c.inbox);
+      add(c.hint);
+    }
+  }
+  return h;
+}
+
+/// Checks the call-set rules on one run's logs.  Counts in
+/// `silent_receives` the receives that left the node's hint at
+/// kNeverSends, so the caller can tell the "no send_phase next round" rule
+/// was exercised.
+void expect_call_rules(const PhaseRun& run, bool dense, bool faults,
+                       const std::string& label,
+                       std::size_t& silent_receives) {
+  for (std::size_t v = 0; v < run.calls.size(); ++v) {
+    const auto& calls = run.calls[v];
+    const std::string at = label + " node " + std::to_string(v);
+    ASSERT_FALSE(calls.empty()) << at;
+    EXPECT_EQ(calls[0].round, 0u) << at;
+    EXPECT_EQ(calls[0].phase, kInitCall) << at;
+    if (!faults) {
+      // Round 0 runs every node's receive_phase, empty inbox or not.
+      ASSERT_GE(calls.size(), 2u) << at;
+      EXPECT_EQ(calls[1].round, 0u) << at;
+      EXPECT_EQ(calls[1].phase, kReceiveCall) << at;
+    }
+    if (dense && !faults) {
+      // Every round: send_phase then receive_phase, at every node.
+      ASSERT_EQ(calls.size(), 2 * (run.stats.rounds + 1)) << at;
+      for (std::size_t i = 2; i < calls.size(); ++i) {
+        EXPECT_EQ(calls[i].round, i / 2) << at << " call " << i;
+        EXPECT_EQ(calls[i].phase, i % 2 == 0 ? kSendCall : kReceiveCall)
+            << at << " call " << i;
+      }
+      continue;
+    }
+    for (std::size_t i = 1; i < calls.size(); ++i) {
+      const PhaseCall& c = calls[i];
+      const bool round0_receive = !faults && i == 1;
+      if (c.phase == kReceiveCall && !round0_receive) {
+        EXPECT_GT(c.inbox, 0u) << at << ": empty receive in round "
+                               << c.round;
+      }
+      if (dense || faults) continue;
+      // Sparse, faultless: a node runs no later than its hint, and runs
+      // send_phase exactly at it.
+      const PhaseCall& prev = calls[i - 1];
+      EXPECT_LE(c.round, prev.hint) << at << " call " << i;
+      if (c.phase == kSendCall) {
+        EXPECT_EQ(c.round, prev.hint) << at << " call " << i;
+      }
+      if (prev.phase == kReceiveCall && prev.inbox > 0 &&
+          prev.hint == Protocol::kNeverSends) {
+        ++silent_receives;
+      }
+    }
+    if (!dense && !faults) {
+      EXPECT_EQ(calls.back().hint, Protocol::kNeverSends) << at;
+    }
+  }
+}
+
+TEST(PhaseCalls, PinnedForBothSchedulesThreadCountsAndFaultPlans) {
+  FaultPlan plan;
+  plan.seed = 77;
+  plan.delay_prob = 0.3;
+  plan.max_delay = 3;
+  plan.crashes = {{3, 4, 11}, {5, 6, FaultPlan::kNever}};
+  plan.validate();
+
+  struct Case {
+    const char* graph;
+    bool faults;
+    bool dense;
+    std::uint64_t digest;  ///< call_digest, captured before the engine's
+                           ///< round body was unified
+  };
+  const Case cases[] = {
+      {"er", false, false, 0x765f185b33ccc9ddull},
+      {"er", false, true, 0x2eb9341daf5f1933ull},
+      {"er", true, false, 0x3e5def754ea4b753ull},
+      {"er", true, true, 0x684e77ebe02d5634ull},
+      {"path", false, false, 0x21310a61709c8b0dull},
+      {"path", false, true, 0x5e01f4257a38d9edull},
+      {"path", true, false, 0x546b119b21998a7full},
+      {"path", true, true, 0x9a734ce794de4c1dull},
+  };
+  const Graph er = graph::erdos_renyi(24, 0.2, {1, 4, 0.0}, 5150);
+  const Graph path = graph::path(8, {1, 1, 0.0}, 5151);
+
+  std::size_t silent_receives = 0;
+  for (const Case& c : cases) {
+    const Graph& g = std::string(c.graph) == "er" ? er : path;
+    const FaultPlan* faults = c.faults ? &plan : nullptr;
+    const std::string label = std::string(c.graph) +
+                              (c.faults ? " faults" : " faultless") +
+                              (c.dense ? " dense" : " sparse");
+    const PhaseRun one = run_script(g, c.dense, 1, faults);
+    const PhaseRun four = run_script(g, c.dense, 4, faults);
+    EXPECT_FALSE(one.stats.hit_round_limit) << label;
+    if (c.faults) {
+      EXPECT_GT(one.stats.faults.delayed, 0u) << label;
+      EXPECT_GT(one.stats.faults.crash_dropped, 0u) << label;
+    }
+    EXPECT_EQ(call_digest(four), call_digest(one)) << label;
+    EXPECT_EQ(call_digest(one), c.digest)
+        << label << ": observed row {\"" << c.graph << "\", "
+        << std::boolalpha << c.faults << ", " << c.dense << ", 0x"
+        << std::hex << call_digest(one) << std::dec << "ull}";
+    expect_call_rules(one, c.dense, c.faults, label, silent_receives);
+    if (!c.dense) {
+      // The two schedules agree on every deterministic stat.
+      EXPECT_EQ(det(one.stats), det(run_script(g, true, 1, faults).stats))
+          << label;
+    }
+  }
+  EXPECT_GT(silent_receives, 0u);
 }
 
 }  // namespace

@@ -394,23 +394,6 @@ TEST(QueryServiceAnalytics, CacheHitsOnRepeatMissesAfterSwap) {
   EXPECT_TRUE(first.report == after.report);  // same graph, same answer
 }
 
-TEST(QueryServiceAnalytics, ResetStatsClearsCacheCounters) {
-  QueryServiceConfig cfg;
-  cfg.path_cache_capacity = 0;
-  AnalyticsService as(diamond(), cfg);
-  QueryService& svc = as.svc;
-  Query q;
-  q.type = QueryType::kReport;
-  (void)svc.query(q);
-  (void)svc.query(q);
-  ASSERT_GT(svc.stats().cache_hits + svc.stats().cache_misses, 0u);
-  svc.reset_stats();
-  const ServiceStats st = svc.stats();
-  EXPECT_EQ(st.cache_hits, 0u);
-  EXPECT_EQ(st.cache_misses, 0u);
-  EXPECT_EQ(st.total_queries(), 0u);
-}
-
 // ---------------------------------------------------------------------------
 // Text protocol: parsing the new forms and rendering their results.
 

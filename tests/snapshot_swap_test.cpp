@@ -112,6 +112,11 @@ TEST(SnapshotSwap, FailedRebuildLeavesServingSnapshotUntouched) {
   EXPECT_FALSE(failed.ok);
   EXPECT_FALSE(failed.error.empty());
   EXPECT_EQ(manager.stats().rebuilds_failed, 1u);
+  // stats() keeps one record of the last rebuild: the failure, which
+  // reports the serving epoch and no build time.
+  EXPECT_EQ(manager.stats().last, failed);
+  EXPECT_EQ(failed.epoch, 1u);
+  EXPECT_EQ(failed.build_ns, 0u);
   // Still serving the last good snapshot at the last good epoch.
   EXPECT_EQ(svc.snapshot()->epoch(), 1u);
   EXPECT_TRUE(svc.query({QueryType::kDist, 0, 1}).ok);
@@ -133,7 +138,7 @@ TEST(SnapshotSwap, RebuildAsyncCoalescesToLatestGraph) {
   EXPECT_GE(st.rebuilds_ok, 1u);
   EXPECT_LE(st.rebuilds_ok, 32u);
   EXPECT_EQ(st.rebuilds_failed, 0u);
-  EXPECT_EQ(svc.snapshot()->epoch(), st.last_epoch);
+  EXPECT_EQ(svc.snapshot()->epoch(), st.last.epoch);
 }
 
 // Regression: rebuild_now used to be rebuild_async + wait_idle + "read the

@@ -415,7 +415,7 @@ report = radius 2, diameter 6, reachable_pairs 25, sources 6
 report = radius 2, diameter 6, reachable_pairs 25, sources 6
 bc = 6 nodes, top: 0=11 3=8 4=7 1=5 2=0 5=0
 bc = 6 nodes, top: 4=3 0=2 1=2 3=1 2=0 5=0
-queries=22 errors=5 batches=0 dist[n=3 mean_ns=* p99_ns=* max_ns=*] next[n=3 mean_ns=* p99_ns=* max_ns=*] path[n=4 mean_ns=* p99_ns=* max_ns=*] kpath[n=2 mean_ns=* p99_ns=* max_ns=*] route[n=6 mean_ns=* p99_ns=* max_ns=*] report[n=2 mean_ns=* p99_ns=* max_ns=*] bc[n=2 mean_ns=* p99_ns=* max_ns=*] cache[hits=2 misses=13 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=22 errors=5 protocol_errors=0 batches=0 dist[n=3 mean_ns=* p99_ns=* max_ns=*] next[n=3 mean_ns=* p99_ns=* max_ns=*] path[n=4 mean_ns=* p99_ns=* max_ns=*] kpath[n=2 mean_ns=* p99_ns=* max_ns=*] route[n=6 mean_ns=* p99_ns=* max_ns=*] report[n=2 mean_ns=* p99_ns=* max_ns=*] bc[n=2 mean_ns=* p99_ns=* max_ns=*] cache[hits=2 misses=13 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 0
 )~"},
       {"parse", Fmt::kText, Closure::kExact, Hook::kNone, kBig, kParse, R"~(error: unknown query type 'hop' (dist|next|path|kpath|route|report|bc)
@@ -434,7 +434,7 @@ error: expected 'bc [SAMPLES]'
 error: unknown query type 'evil"' (dist|next|path|kpath|route|report|bc)
 error: unknown query type 'back\slash' (dist|next|path|kpath|route|report|bc)
 dist 0 1 = 1
-queries=1 errors=0 batches=0 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=1 errors=0 protocol_errors=15 batches=0 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 15
 )~"},
       {"approx", Fmt::kText, Closure::kApprox, Hook::kNone, kBig,
@@ -446,7 +446,7 @@ error: oracle is distance-only (no next-hop table)
 error: oracle is distance-only (no next-hop table)
 error: report/bc require exact distances (snapshot is approximate)
 error: report/bc require exact distances (snapshot is approximate)
-queries=2 errors=6 batches=0 dist[n=2 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=2 errors=6 protocol_errors=0 batches=0 dist[n=2 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 0
 )~"},
       {"batch", Fmt::kText, Closure::kExact, Hook::kNone, kBig, kBatch, R"~(dist 0 4 = 2
@@ -460,7 +460,7 @@ kpath 0 4 = 2 paths
   [1] 0 1 3 4 (dist 2, 3 hops)
   [2] 0 2 3 4 (dist 4, 3 hops)
 path 0 4 = 0 1 3 4 (dist 2, 3 hops)
-queries=5 errors=0 batches=3 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=1 mean_ns=* p99_ns=* max_ns=*] path[n=2 mean_ns=* p99_ns=* max_ns=*] kpath[n=1 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=1 misses=2 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=5 errors=0 protocol_errors=4 batches=3 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=1 mean_ns=* p99_ns=* max_ns=*] path[n=2 mean_ns=* p99_ns=* max_ns=*] kpath[n=1 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=1 misses=2 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 4
 )~"},
       {"batch_limit", Fmt::kText, Closure::kExact, Hook::kNone, 2, kBatchLimit,
@@ -468,7 +468,7 @@ queries=5 errors=0 batches=3 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=1 mean
 dist 0 4 = 2
 path 0 4 = 0 1 3 4 (dist 2, 3 hops)
 path 0 4 = 0 1 3 4 (dist 2, 3 hops)
-queries=3 errors=0 batches=1 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=2 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=1 misses=1 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=3 errors=0 protocol_errors=1 batches=1 dist[n=1 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=2 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=1 misses=1 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 error: batch of 5 exceeds max batch size 2
 -- errors 2
 )~"},
@@ -479,17 +479,17 @@ error: batch of 4 truncated by end of input after 2 lines
 )~"},
       {"rebuild_none", Fmt::kText, Closure::kExact, Hook::kNone, kBig,
        kRebuild, R"~(error: no rebuild hook installed for this session
-queries=0 errors=0 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=0 errors=0 protocol_errors=1 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 1
 )~"},
       {"rebuild_ok", Fmt::kText, Closure::kExact, Hook::kOk, kBig, kRebuild,
        R"~(rebuild: epoch=7 build_ns=1234
-queries=0 errors=0 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=0 errors=0 protocol_errors=0 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 0
 )~"},
       {"rebuild_fail", Fmt::kText, Closure::kExact, Hook::kFail, kBig,
        kRebuild, R"~(error: rebuild failed: boom
-queries=0 errors=0 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
+queries=0 errors=0 protocol_errors=0 batches=0 dist[n=0 mean_ns=* p99_ns=* max_ns=*] next[n=0 mean_ns=* p99_ns=* max_ns=*] path[n=0 mean_ns=* p99_ns=* max_ns=*] kpath[n=0 mean_ns=* p99_ns=* max_ns=*] route[n=0 mean_ns=* p99_ns=* max_ns=*] report[n=0 mean_ns=* p99_ns=* max_ns=*] bc[n=0 mean_ns=* p99_ns=* max_ns=*] cache[hits=0 misses=0 evictions=0] snapshot[epoch=0 swaps=0 shards=1]
 -- errors 0
 )~"},
   };
@@ -526,7 +526,7 @@ const std::vector<Row>& json_rows() {
 {"type":"report","u":0,"v":0,"ok":true,"radius":2,"diameter":6,"reachable_pairs":25,"sources":[{"ecc":2,"farness":7,"reached":4},{"ecc":6,"farness":12,"reached":4},{"ecc":6,"farness":15,"reached":4},{"ecc":5,"farness":12,"reached":4},{"ecc":5,"farness":17,"reached":4},{"ecc":4,"farness":17,"reached":5}]}
 {"type":"bc","u":0,"v":0,"ok":true,"centrality":[11,5,0,8,7,0]}
 {"type":"bc","u":0,"v":0,"ok":true,"centrality":[2,2,0,1,3,0]}
-{"stats":{"queries":22,"errors":5,"batches":0,"types":{"dist":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":4,"errors":0,"error_ns":*,"latency_ns":{"count":4,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":2,"errors":2,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":6,"errors":1,"error_ns":*,"latency_ns":{"count":6,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":2,"misses":13,"evictions":0,"hit_rate":0.13333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":22,"errors":5,"protocol_errors":0,"batches":0,"types":{"dist":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":4,"errors":0,"error_ns":*,"latency_ns":{"count":4,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":2,"errors":2,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":6,"errors":1,"error_ns":*,"latency_ns":{"count":6,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":2,"misses":13,"evictions":0,"hit_rate":0.13333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 0
 )~"},
       {"parse", Fmt::kJson, Closure::kExact, Hook::kNone, kBig, kParse, R"~({"ok":false,"code":"parse_error","error":"unknown query type 'hop' (dist|next|path|kpath|route|report|bc)"}
@@ -545,7 +545,7 @@ const std::vector<Row>& json_rows() {
 {"ok":false,"code":"parse_error","error":"unknown query type 'evil\"' (dist|next|path|kpath|route|report|bc)"}
 {"ok":false,"code":"parse_error","error":"unknown query type 'back\\slash' (dist|next|path|kpath|route|report|bc)"}
 {"type":"dist","u":0,"v":1,"ok":true,"dist":1}
-{"stats":{"queries":1,"errors":0,"batches":0,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":1,"errors":0,"protocol_errors":15,"batches":0,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 15
 )~"},
       {"approx", Fmt::kJson, Closure::kApprox, Hook::kNone, kBig,
@@ -557,7 +557,7 @@ const std::vector<Row>& json_rows() {
 {"type":"route","u":0,"v":4,"ok":false,"error":"oracle is distance-only (no next-hop table)"}
 {"type":"report","u":0,"v":0,"ok":false,"error":"report/bc require exact distances (snapshot is approximate)"}
 {"type":"bc","u":0,"v":0,"ok":false,"error":"report/bc require exact distances (snapshot is approximate)"}
-{"stats":{"queries":2,"errors":6,"batches":0,"types":{"dist":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":288}]}}}
+{"stats":{"queries":2,"errors":6,"protocol_errors":0,"batches":0,"types":{"dist":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":288}]}}}
 -- errors 0
 )~"},
       {"batch", Fmt::kJson, Closure::kExact, Hook::kNone, kBig, kBatch, R"~({"type":"dist","u":0,"v":4,"ok":true,"dist":2}
@@ -569,7 +569,7 @@ const std::vector<Row>& json_rows() {
 {"type":"next","u":0,"v":4,"ok":true,"dist":2,"next":1}
 {"type":"kpath","u":0,"v":4,"ok":true,"routes":[{"dist":2,"path":[0,1,3,4]},{"dist":4,"path":[0,2,3,4]}]}
 {"type":"path","u":0,"v":4,"ok":true,"dist":2,"path":[0,1,3,4]}
-{"stats":{"queries":5,"errors":0,"batches":3,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":1,"misses":2,"evictions":0,"hit_rate":0.3333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":5,"errors":0,"protocol_errors":4,"batches":3,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":1,"misses":2,"evictions":0,"hit_rate":0.3333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 4
 )~"},
       {"batch_limit", Fmt::kJson, Closure::kExact, Hook::kNone, 2, kBatchLimit,
@@ -577,7 +577,7 @@ const std::vector<Row>& json_rows() {
 {"type":"dist","u":0,"v":4,"ok":true,"dist":2}
 {"type":"path","u":0,"v":4,"ok":true,"dist":2,"path":[0,1,3,4]}
 {"type":"path","u":0,"v":4,"ok":true,"dist":2,"path":[0,1,3,4]}
-{"stats":{"queries":3,"errors":0,"batches":1,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":1,"misses":1,"evictions":0,"hit_rate":0.5},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":3,"errors":0,"protocol_errors":1,"batches":1,"types":{"dist":{"count":1,"errors":0,"error_ns":*,"latency_ns":{"count":1,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":1,"misses":1,"evictions":0,"hit_rate":0.5},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 {"ok":false,"code":"batch_too_large","error":"batch of 5 exceeds max batch size 2"}
 -- errors 2
 )~"},
@@ -588,17 +588,17 @@ const std::vector<Row>& json_rows() {
 )~"},
       {"rebuild_none", Fmt::kJson, Closure::kExact, Hook::kNone, kBig,
        kRebuild, R"~({"ok":false,"code":"rebuild_unavailable","error":"no rebuild hook installed for this session"}
-{"stats":{"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":0,"errors":0,"protocol_errors":1,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 1
 )~"},
       {"rebuild_ok", Fmt::kJson, Closure::kExact, Hook::kOk, kBig, kRebuild,
        R"~({"rebuild":{"ok":true,"epoch":7,"build_ns":1234}}
-{"stats":{"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":0,"errors":0,"protocol_errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 0
 )~"},
       {"rebuild_fail", Fmt::kJson, Closure::kExact, Hook::kFail, kBig,
        kRebuild, R"~({"rebuild":{"ok":false,"error":"boom"}}
-{"stats":{"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
+{"stats":{"queries":0,"errors":0,"protocol_errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}}
 -- errors 0
 )~"},
   };
@@ -773,7 +773,7 @@ REPORT(153) ok radius=2 diameter=6 pairs=25 sources= 2/7/4 6/12/4 6/15/4 5/12/4 
 REPORT(153) ok radius=2 diameter=6 pairs=25 sources= 2/7/4 6/12/4 6/15/4 5/12/4 5/17/4 4/17/5
 BC(57) ok 11 5 0 8 7 0
 BC(57) ok 2 2 0 1 3 0
-STATS {"queries":22,"errors":5,"batches":2,"types":{"dist":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":4,"errors":0,"error_ns":*,"latency_ns":{"count":4,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":2,"errors":2,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":6,"errors":1,"error_ns":*,"latency_ns":{"count":6,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":2,"misses":13,"evictions":0,"hit_rate":0.13333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":22,"errors":5,"protocol_errors":0,"batches":2,"types":{"dist":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":3,"errors":1,"error_ns":*,"latency_ns":{"count":3,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":4,"errors":0,"error_ns":*,"latency_ns":{"count":4,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":2,"errors":2,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":6,"errors":1,"error_ns":*,"latency_ns":{"count":6,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":2,"misses":13,"evictions":0,"hit_rate":0.13333333333333333},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 0
 )~"},
       {"approx", Fmt::kBinary, Closure::kApprox, Hook::kNone, kBig,
@@ -786,22 +786,22 @@ KPATH(52) err oracle is distance-only (no next-hop table)
 ROUTE(52) err oracle is distance-only (no next-hop table)
 REPORT(68) err report/bc require exact distances (snapshot is approximate)
 BC(68) err report/bc require exact distances (snapshot is approximate)
-STATS {"queries":2,"errors":6,"batches":1,"types":{"dist":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":288}]}}
+STATS {"queries":2,"errors":6,"protocol_errors":0,"batches":1,"types":{"dist":{"count":2,"errors":0,"error_ns":*,"latency_ns":{"count":2,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":1,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":288}]}}
 -- errors 0
 )~"},
       {"rebuild_none", Fmt::kBinary, Closure::kExact, Hook::kNone, kBig,
        rebuild_frames(), R"~(ERROR(52) 13 rebuild_unavailable: no rebuild hook installed for this session
-STATS {"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":0,"errors":0,"protocol_errors":1,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 1
 )~"},
       {"rebuild_ok", Fmt::kBinary, Closure::kExact, Hook::kOk, kBig,
        rebuild_frames(), R"~(REBUILD(20) epoch=7 build_ns=1234
-STATS {"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":0,"errors":0,"protocol_errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 0
 )~"},
       {"rebuild_fail", Fmt::kBinary, Closure::kExact, Hook::kFail, kBig,
        rebuild_frames(), R"~(ERROR(30) 14 rebuild_failed: rebuild failed: boom
-STATS {"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":0,"errors":0,"protocol_errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 0
 )~"},
       {"recoverable_errors", Fmt::kBinary, Closure::kExact, Hook::kNone, 2,
@@ -827,12 +827,12 @@ ERROR(48) 9 bad_avoid_set: route avoid set exceeds max_avoid=4096
 ERROR(35) 10 bad_body: report body must be empty
 ERROR(38) 4 truncated: bc body shorter than 4 bytes
 ERROR(36) 10 bad_body: bc body has trailing bytes
-STATS {"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":0,"errors":0,"protocol_errors":22,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 22
 )~"},
       {"long_batch", Fmt::kBinary, Closure::kExact, Hook::kNone, kBig,
        long_batch(), R"~(ERROR(51) 10 bad_body: batch body holds 2 queries but declares 1
-STATS {"queries":0,"errors":0,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
+STATS {"queries":0,"errors":0,"protocol_errors":1,"batches":0,"types":{"dist":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"next":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"path":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"kpath":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"route":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"report":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}},"bc":{"count":0,"errors":0,"error_ns":*,"latency_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*}}},"cache":{"hits":0,"misses":0,"evictions":0,"hit_rate":0},"snapshot":{"epoch":0,"swaps":0,"shard_count":1,"swap_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"rebuild_ns":{"count":0,"sum":*,"min":*,"max":*,"mean":*,"p50":*,"p90":*,"p99":*},"shards":[{"row_begin":0,"row_end":6,"bytes":432}]}}
 -- errors 1
 )~"},
       {"stats_body", Fmt::kBinary, Closure::kExact, Hook::kNone, kBig,
@@ -888,6 +888,25 @@ TEST(ErrorCodes, ServiceDocTableIsRenderedFromCode) {
 TEST(Transcript, Text) { expect_rows(text_rows()); }
 TEST(Transcript, Jsonl) { expect_rows(json_rows()); }
 TEST(Transcript, Binary) { expect_rows(binary_rows()); }
+
+// A session's own errors reach its stats answer in every format: two
+// malformed requests, then stats.
+TEST(SessionStats, ProtocolErrorsReachStats) {
+  std::string binary = frame("XX\x01\x01") + frame(payload(0x01));
+  wire::append_stats_request(binary);
+  const char* const text = "hop 0 1\nbatch x\nstats\n";
+  const std::pair<Fmt, std::string> sessions[] = {
+      {Fmt::kText, text}, {Fmt::kJson, text}, {Fmt::kBinary, binary}};
+  for (const auto& [fmt, input] : sessions) {
+    const std::string seen = observe(
+        {"stats", fmt, Closure::kExact, Hook::kNone, kBig, input, ""});
+    EXPECT_NE(seen.find(fmt == Fmt::kText ? "protocol_errors=2 "
+                                          : "\"protocol_errors\":2,"),
+              std::string::npos)
+        << seen;
+    EXPECT_NE(seen.find("-- errors 2"), std::string::npos) << seen;
+  }
+}
 
 }  // namespace
 }  // namespace dapsp::serve
