@@ -91,8 +91,6 @@ void Engine::enqueue(NodeId from, std::size_t slot, const Message& m) {
   sent_mark_[from] = 1;
   if (link_cnt_[slot]++ == 0) {
     ob.touched.push_back(static_cast<std::uint32_t>(slot));
-  } else {
-    ob.has_dup = true;
   }
   ob.slots.push_back(static_cast<std::uint32_t>(slot));
   ob.msgs.push_back(m);
@@ -127,7 +125,6 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
   const std::size_t links = link_base_[n];
   link_target_.resize(links);
   link_cnt_.assign(links, 0);
-  link_off_.assign(links, 0);
   link_lifetime_count_.assign(links, 0);
   out_.resize(n);
   all_nodes_.resize(n);
@@ -222,16 +219,14 @@ void Engine::refresh_quiescence(std::span<const NodeId> nodes) {
 std::size_t Engine::plane_capacity_bytes() const {
   std::size_t bytes = 0;
   for (const Outbox& ob : out_) {
-    bytes += ob.slots.capacity() * sizeof(std::uint32_t) +
-             ob.touched.capacity() * sizeof(std::uint32_t) +
-             ob.pos.capacity() * sizeof(std::uint32_t) +
-             ob.msgs.capacity_bytes() + ob.sorted.capacity_bytes();
+    bytes += (ob.slots.capacity() + ob.touched.capacity()) *
+                 sizeof(std::uint32_t) +
+             ob.msgs.capacity() * sizeof(Message);
   }
   for (const auto& in : inbox_) bytes += in.capacity() * sizeof(Envelope);
   bytes += touched_senders_.capacity() * sizeof(NodeId) +
            receivers_.capacity() * sizeof(NodeId) +
-           partials_.capacity() * sizeof(SenderPartial) +
-           msg_scratch_.capacity() * sizeof(Message) +
+           sent_counts_.capacity() * sizeof(std::uint32_t) +
            heap_.capacity() * sizeof(std::pair<Round, NodeId>) +
            active_next_.capacity() * sizeof(NodeId) +
            active_now_.capacity() * sizeof(NodeId) +
@@ -337,9 +332,9 @@ void Engine::profile_node(NodeId v, std::uint64_t ns) noexcept {
 
 void Engine::record_work_items() {
   // Items go out in node-id order: merge the (sorted) sender list --
-  // msgs_out comes from the deliver() partials, still parallel to it --
-  // with a sorted copy of the receiver list.  Both sets are identical for
-  // sparse/dense and every thread count, so the item stream is too.
+  // msgs_out comes from sent_counts_, parallel to it -- with a sorted copy
+  // of the receiver list.  Both sets are identical for sparse/dense and
+  // every thread count, so the item stream is too.
   profile_receivers_.assign(receivers_.begin(), receivers_.end());
   std::sort(profile_receivers_.begin(), profile_receivers_.end());
   std::size_t si = 0;
@@ -352,7 +347,7 @@ void Engine::record_work_items() {
         (ri >= profile_receivers_.size() ||
          touched_senders_[si] <= profile_receivers_[ri])) {
       v = touched_senders_[si];
-      msgs_out = static_cast<std::uint32_t>(partials_[si].msgs);
+      msgs_out = sent_counts_[si];
       if (ri < profile_receivers_.size() && profile_receivers_[ri] == v) {
         received = true;
         ++ri;
@@ -420,69 +415,49 @@ Engine::ClockTp Engine::deliver(std::span<const NodeId> senders, ClockTp t0) {
     std::sort(touched_senders_.begin(), touched_senders_.end());
   }
 
-  // 2. Per-sender finalize + accounting partials.  Sender-local except for
-  // the link arrays, whose slots are partitioned by sender, so the pass can
-  // run on the pool; the reduction below is sequential and order-fixed, so
-  // stats are identical at every thread count.
-  partials_.resize(touched_senders_.size());
-  auto finalize_sender = [&](std::size_t i) {
-    const NodeId v = touched_senders_[i];
-    Outbox& ob = out_[v];
-    if (!ob.has_dup) {
-      // Every touched link carries exactly one message: its columns offset
-      // is simply the send index.
-      for (std::size_t j = 0; j < ob.slots.size(); ++j) {
-        link_off_[ob.slots[j]] = static_cast<std::uint32_t>(j);
-      }
-    } else {
-      // Group messages per link, preserving send order: prefix ends over the
-      // touched links, a backward pass that rewinds each cursor to assign
-      // every send its grouped position, then one columnar scatter.
-      std::uint32_t off = 0;
-      for (const std::uint32_t s : ob.touched) {
-        off += link_cnt_[s];
-        link_off_[s] = off;
-      }
-      ob.pos.resize(ob.slots.size());
-      for (std::size_t j = ob.slots.size(); j-- > 0;) {
-        ob.pos[j] = --link_off_[ob.slots[j]];
-      }
-      ob.sorted.assign_permuted(ob.msgs, ob.pos);
-    }
-    SenderPartial p;
-    for (const std::uint32_t s : ob.touched) {
-      const std::uint64_t c = link_cnt_[s];
-      p.msgs += c;
-      p.max_cong = std::max(p.max_cong, c);
-      link_lifetime_count_[s] += c;
-      p.max_link_total = std::max(p.max_link_total, link_lifetime_count_[s]);
-    }
-    // Bytes actually moved by delivery: an 8-byte (tag, used) header plus
-    // the used payload words per message -- deterministic, unlike the old
-    // whole-struct copies whose 72 bytes never showed up in any stat.
-    p.bytes = 8 * (ob.msgs.size() + ob.msgs.field_words());
-    p.max_fields = ob.msgs.max_used();
-    partials_[i] = p;
-  };
-  if (touched_senders_.size() >= 1024) {
-    pool_->parallel_for(touched_senders_.size(), finalize_sender);
-  } else {
-    for (std::size_t i = 0; i < touched_senders_.size(); ++i) {
-      finalize_sender(i);
-    }
-  }
-
-  // 3. Deterministic reduction.
+  // 2. One walk over the senders' logs, ascending, accounts every link and
+  // message straight into stats_ and delivers each message in send order:
+  // appended to its link's receiver's inbox, or admitted to the fault
+  // plane.  A receiver has one link per sender, so every inbox comes out in
+  // (sender id, send order) order, and each link's messages reach the fault
+  // plane in send order, which keys their fate draws.  Every inbox starts
+  // the walk empty (the deferred-clear invariant), so an empty one marks a
+  // new receiver, and the dense oracle's exhaustive receive loop reads
+  // empty spans for all the others.
   round_messages_ = 0;
   std::uint64_t max_cong = 0;
-  for (const SenderPartial& p : partials_) {
-    round_messages_ += p.msgs;
-    stats_.message_bytes += p.bytes;
-    max_cong = std::max(max_cong, p.max_cong);
-    stats_.max_link_total = std::max(stats_.max_link_total, p.max_link_total);
-    stats_.max_message_fields =
-        std::max(stats_.max_message_fields, p.max_fields);
+  std::uint64_t bytes = 0;
+  std::uint32_t max_fields = 0;
+  sent_counts_.clear();
+  receivers_.clear();
+  if (faults_ != nullptr) faults_->begin_round();
+  for (const NodeId sender : touched_senders_) {
+    const Outbox& ob = out_[sender];
+    for (const std::uint32_t s : ob.touched) {
+      const std::uint64_t c = link_cnt_[s];
+      max_cong = std::max(max_cong, c);
+      link_lifetime_count_[s] += c;
+      stats_.max_link_total =
+          std::max(stats_.max_link_total, link_lifetime_count_[s]);
+    }
+    round_messages_ += ob.msgs.size();
+    sent_counts_.push_back(static_cast<std::uint32_t>(ob.msgs.size()));
+    for (std::size_t j = 0; j < ob.msgs.size(); ++j) {
+      const Message& m = ob.msgs[j];
+      bytes += 8 * (1 + std::uint64_t{m.used});  // CONGEST wire size
+      max_fields = std::max(max_fields, m.used);
+      if (faults_ != nullptr) {
+        faults_->admit(round_, ob.slots[j], m);
+        continue;
+      }
+      const NodeId u = link_target_[ob.slots[j]];
+      auto& in = inbox_[u];
+      if (in.empty()) receivers_.push_back(u);
+      in.push_back(Envelope{sender, m});
+    }
   }
+  stats_.message_bytes += bytes;
+  stats_.max_message_fields = std::max(stats_.max_message_fields, max_fields);
   if (round_messages_ > 0) {
     stats_.total_messages += round_messages_;
     stats_.last_message_round = round_;
@@ -534,66 +509,19 @@ Engine::ClockTp Engine::deliver(std::span<const NodeId> senders, ClockTp t0) {
     }
   }
 
-  // 4. Fill each receiver's inbox in (sender, send order) order -- or, when
-  // scrambling, in a deterministic per-(receiver, round) permutation.
+  // 3. Under faults, release() fills the inboxes from whatever the fault
+  // plane holds due this round.  Both schedules and every thread count
+  // funnel through this single-threaded path, so all see identical faults.
   if (faults_ != nullptr) {
-    // Fault path: the round's sends pass through the fault plane instead of
-    // the direct link arrays.  Admission order is (sender ascending, link in
-    // first-touch order, send order within a link) -- deterministic because
-    // touched_senders_ was sorted above and the fate draws are counter-based
-    // -- and release() fills the inboxes from whatever is due this round.
-    // Both schedules funnel through this single-threaded path, so sparse,
-    // dense, and every thread count see identical faults.
-    faults_->begin_round();
-    for (const NodeId sender : touched_senders_) {
-      const Outbox& ob = out_[sender];
-      const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
-      for (const std::uint32_t slot : ob.touched) {
-        const std::uint32_t cnt = link_cnt_[slot];
-        const std::uint32_t off = link_off_[slot];
-        if (msg_scratch_.size() < cnt) msg_scratch_.resize(cnt);
-        for (std::uint32_t j = 0; j < cnt; ++j) {
-          src.materialize(off + j, msg_scratch_[j]);
-        }
-        faults_->admit(round_, slot, msg_scratch_.data(), cnt);
-      }
-    }
-    receivers_.clear();
     faults_->release(round_, inbox_, inbox_mark_, receivers_);
     for (const NodeId u : receivers_) inbox_mark_[u] = 0;
-    if (options_.scramble_inbox) {
-      for (const NodeId v : receivers_) scramble_inbox(v);
-    }
     stats_.faults += faults_->round_stats();
-  } else {
-    // Push delivery: walk the senders ascending and append each touched
-    // link's messages, in send order, to its receiver's inbox.  A receiver
-    // has one link per sender, so every inbox comes out in (sender id, send
-    // order) order by construction.  Every inbox starts the walk empty (the
-    // deferred-clear invariant), so an empty one marks a new receiver, and
-    // the dense oracle's exhaustive receive loop reads empty spans for all
-    // the others.
-    receivers_.clear();
-    for (const NodeId sender : touched_senders_) {
-      const Outbox& ob = out_[sender];
-      const MessageColumns& src = ob.has_dup ? ob.sorted : ob.msgs;
-      for (const std::uint32_t slot : ob.touched) {
-        const NodeId u = link_target_[slot];
-        auto& in = inbox_[u];
-        if (in.empty()) receivers_.push_back(u);
-        const std::uint32_t off = link_off_[slot];
-        const std::uint32_t cnt = link_cnt_[slot];
-        for (std::uint32_t j = 0; j < cnt; ++j) {
-          src.append_envelope(off + j, sender, in);
-        }
-      }
-    }
-    if (options_.scramble_inbox) {
-      for (const NodeId v : receivers_) scramble_inbox(v);
-    }
+  }
+  if (options_.scramble_inbox) {
+    for (const NodeId v : receivers_) scramble_inbox(v);
   }
 
-  // 5. Retire outboxes (capacity kept -- steady-state rounds allocate
+  // 4. Retire outboxes (capacity kept -- steady-state rounds allocate
   // nothing).
   for (const NodeId sender : touched_senders_) {
     Outbox& ob = out_[sender];
@@ -601,7 +529,6 @@ Engine::ClockTp Engine::deliver(std::span<const NodeId> senders, ClockTp t0) {
     ob.slots.clear();
     ob.msgs.clear();
     ob.touched.clear();
-    ob.has_dup = false;
     sent_mark_[sender] = 0;
   }
   const auto t1 = Clock::now();

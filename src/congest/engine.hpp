@@ -171,8 +171,8 @@ struct RunEnv {
   obs::TraceRecorder* recorder = nullptr;
   /// Optional fault plan (not owned; must outlive the run).  Null, or a
   /// plan with no fault enabled, costs nothing: the engine never constructs
-  /// the fault plane and the delivery path is the pre-fault code, so outputs
-  /// and RunStats are bit-identical to a faultless build (tested).  See
+  /// the fault plane and delivers every message straight to its inbox, so
+  /// outputs and RunStats are bit-identical to a faultless build (tested).  See
   /// congest/faults.hpp for semantics.
   const FaultPlan* faults = nullptr;
 };
@@ -255,7 +255,7 @@ class Engine {
   static void set_force_threads(std::size_t threads) noexcept;
 
   /// Heap bytes currently reserved by the reusable message plane (outbox
-  /// columns, inboxes, scheduler and accounting scratch).  All of it is
+  /// logs, inboxes, scheduler and accounting scratch).  All of it is
   /// grow-only across rounds, so once a run reaches steady state this value
   /// stops changing -- the zero-allocation tests assert exactly that.  Host
   /// observability, never part of the deterministic stats.
@@ -277,8 +277,10 @@ class Engine {
   /// it.  The phase is a template argument, so no node pays a phase branch.
   template <Phase P>
   void run_phase(std::span<const NodeId> nodes);
-  /// Delivers this round's sends.  `senders` is the round's send set:
-  /// all_nodes_, or the sparse active set, whose senders deliver() sorts.
+  /// Delivers this round's sends in one walk over the senders' logs,
+  /// accounting each message as it goes.  `senders` is the round's send
+  /// set: all_nodes_, or the sparse active set, whose senders deliver()
+  /// sorts.
   /// `t_start` is the timestamp taken at the end of the send phase (which
   /// doubles as delivery start); deliver() reads the clock once at its end
   /// and returns that timestamp so the caller can time the receive phase
@@ -336,45 +338,30 @@ class Engine {
   bool chain_ticks_ = false;
   ClockTp last_tick_{};
 
-  // --- zero-allocation message plane (steady state) ---
+  // --- message plane: one send-order log per sender ---
   //
-  // Each sender appends its round's messages to flat per-node columns
-  // (struct-of-arrays: tag stream + packed used-prefix payloads, see
-  // MessageColumns) in send order; per directed link (CSR position in the
-  // sender's comm adjacency) only a count and an offset into those columns
-  // are kept.  All buffers are reused across rounds, so after warm-up a
-  // round allocates nothing (plane_capacity_bytes() proves it).
+  // Each sender appends whole messages and their link slots to its outbox
+  // in send order; link_cnt_ counts each link's messages this round.
+  // deliver() walks the logs once, in ascending sender order.  A receiver
+  // has one link per sender, so appending each message to its link's
+  // receiver yields every inbox in (sender id, send order) order.  All
+  // buffers are reused across rounds, so after warm-up a round allocates
+  // nothing (plane_capacity_bytes() proves it).
   struct Outbox {
-    std::vector<std::uint32_t> slots;   ///< global link slot per send
-    MessageColumns msgs;                ///< parallel to `slots`, send order
-    std::vector<std::uint32_t> touched; ///< distinct slots, first-touch order
-    MessageColumns sorted;              ///< per-link-contiguous scatter buffer
-    std::vector<std::uint32_t> pos;     ///< scatter permutation scratch
-    bool has_dup = false;               ///< some link carries > 1 message
+    std::vector<std::uint32_t> slots;    ///< link slot per send
+    std::vector<Message> msgs;           ///< parallel to `slots`
+    std::vector<std::uint32_t> touched;  ///< distinct slots, first-touch order
   };
   std::vector<std::size_t> link_base_;       // per node, into link arrays
   std::vector<NodeId> link_target_;          // receiver of each directed link
   std::vector<std::uint32_t> link_cnt_;      // messages this round, per link
-  std::vector<std::uint32_t> link_off_;      // start into sender columns
   std::vector<std::uint64_t> link_lifetime_count_;  // per link, whole run
   std::vector<Outbox> out_;                  // per sender, reused
   std::vector<NodeId> all_nodes_;            // 0..n-1: the every-node set
   std::vector<std::uint8_t> sent_mark_;      // sender had sends this round
   std::vector<NodeId> touched_senders_;      // senders with messages, per round
+  std::vector<std::uint32_t> sent_counts_;   // messages per touched sender
   std::uint64_t round_messages_ = 0;         // messages this round
-  std::vector<Message> msg_scratch_;         // materialized view for
-                                             // the fault plan
-
-  // Per-sender accounting partials so the sender-side pass can run on the
-  // pool and still reduce deterministically.
-  struct SenderPartial {
-    std::uint64_t msgs = 0;
-    std::uint64_t bytes = 0;
-    std::uint64_t max_cong = 0;
-    std::uint64_t max_link_total = 0;
-    std::uint32_t max_fields = 0;
-  };
-  std::vector<SenderPartial> partials_;
 
   // --- quiescence cache ---
   //

@@ -240,31 +240,34 @@ void FaultPlane::push_frame(std::uint32_t slot, const Message& m, Round ready) {
   ++pending_total_;
 }
 
-void FaultPlane::admit(Round r, std::uint32_t slot, const Message* msgs,
-                       std::uint32_t count) {
+void FaultPlane::admit(Round r, std::uint32_t slot, const Message& m) {
+  LinkQueue& q = queues_[slot];
+  if (q.admit_round != r) {
+    q.admit_round = r;
+    q.admitted = 0;
+  }
+  const std::uint64_t i = q.admitted++;
   const std::uint64_t seed = plan_.seed;
-  for (std::uint32_t i = 0; i < count; ++i) {
-    if (fate_chance(plan_.drop_prob, seed, r, slot, i, kFateDrop)) {
-      ++round_.dropped;
-      continue;
+  if (fate_chance(plan_.drop_prob, seed, r, slot, i, kFateDrop)) {
+    ++round_.dropped;
+    return;
+  }
+  std::uint64_t copies = 1;
+  if (fate_chance(plan_.dup_prob, seed, r, slot, i, kFateDup)) {
+    copies = 2;
+    ++round_.duplicated;
+  }
+  for (std::uint64_t c = 0; c < copies; ++c) {
+    // Each copy draws its own delay; the copy index is folded into the
+    // draw counter so the duplicate can land in a different round.
+    const std::uint64_t draw = i * 2 + c;
+    Round delay = 0;
+    if (fate_chance(plan_.delay_prob, seed, r, slot, draw, kFateDelay)) {
+      delay = 1 + fate_bits(seed, r, slot, draw, kFateDelayLen) %
+                      plan_.max_delay;
+      ++round_.delayed;
     }
-    std::uint32_t copies = 1;
-    if (fate_chance(plan_.dup_prob, seed, r, slot, i, kFateDup)) {
-      copies = 2;
-      ++round_.duplicated;
-    }
-    for (std::uint32_t c = 0; c < copies; ++c) {
-      // Each copy draws its own delay; the copy index is folded into the
-      // draw counter so the duplicate can land in a different round.
-      const std::uint64_t draw = std::uint64_t{i} * 2 + c;
-      Round delay = 0;
-      if (fate_chance(plan_.delay_prob, seed, r, slot, draw, kFateDelay)) {
-        delay = 1 + fate_bits(seed, r, slot, draw, kFateDelayLen) %
-                        plan_.max_delay;
-        ++round_.delayed;
-      }
-      push_frame(slot, msgs[i], r + delay);
-    }
+    push_frame(slot, m, r + delay);
   }
 }
 

@@ -13,8 +13,8 @@
 // index), never a shared RNG stream, so outcomes are identical across
 // thread counts and across the sparse/dense schedulers (tested).  A null or
 // all-zero plan costs nothing: the engine only instantiates the fault plane
-// when `FaultPlan::enabled()` is true, and the fault-free delivery path is
-// byte-for-byte the pre-fault code.
+// when `FaultPlan::enabled()` is true, and without it delivery appends each
+// message straight to its receiver's inbox.
 //
 // Semantics (all at round granularity, matching the engine's send -> deliver
 // -> receive structure):
@@ -117,10 +117,11 @@ class FaultPlane {
   /// admit/release.
   void begin_round();
 
-  /// Feeds one link's batch of messages sent in round r (contiguous, in
-  /// send order) through drop/duplicate/delay and into the pending buffer.
-  void admit(Round r, std::uint32_t slot, const Message* msgs,
-             std::uint32_t count);
+  /// Feeds one message sent on link `slot` in round r through
+  /// drop/duplicate/delay and into the pending buffer.  A link's messages
+  /// must arrive in send order: the link counts them per round, and the
+  /// count is the message index that keys the fate draws.
+  void admit(Round r, std::uint32_t slot, const Message& m);
 
   /// Delivers every pending message due in round r: appends envelopes to
   /// `inbox[target]` (clearing each target's inbox on first touch via
@@ -153,6 +154,8 @@ class FaultPlane {
   struct LinkQueue {
     std::vector<Frame> frames;
     std::uint64_t next_seq = 0;
+    Round admit_round = FaultPlan::kNever;  ///< round `admitted` counts
+    std::uint64_t admitted = 0;  ///< messages admitted in admit_round
   };
 
   void push_frame(std::uint32_t slot, const Message& m, Round ready);

@@ -57,10 +57,10 @@ struct RunStats {
   /// (the "congestion" of Lemma II.15).
   std::uint64_t max_link_total = 0;
   std::uint32_t max_message_fields = 0;
-  /// Payload bytes moved by delivery: per message, an 8-byte (tag, used)
-  /// header plus 8 bytes per *used* field.  Deterministic (bit-identical
-  /// across schedulers and thread counts) -- the old AoS arena copied all
-  /// kMaxFields words per message and no stat ever said so.
+  /// The rounds' CONGEST wire size: per message sent, an 8-byte (tag, used)
+  /// header plus 8 bytes per *used* field.  A model quantity, not the bytes
+  /// the simulator copies; deterministic (bit-identical across schedulers
+  /// and thread counts).
   std::uint64_t message_bytes = 0;
   bool hit_round_limit = false;
   std::vector<std::uint64_t> per_round_messages;  ///< filled when recording

@@ -11,6 +11,25 @@
 
 namespace dapsp::util {
 
+namespace {
+
+/// The CPUs the calling thread may run on, ascending, so a taskset or
+/// cpuset limit counts; empty where the affinity mask cannot be read.
+std::vector<std::size_t> allowed_cpus() {
+  std::vector<std::size_t> cpus;
+#ifdef __linux__
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    for (std::size_t c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &set)) cpus.push_back(c);
+    }
+  }
+#endif
+  return cpus;
+}
+
+}  // namespace
+
 struct ThreadPool::Batch {
   std::size_t n = 0;
   void* ctx = nullptr;
@@ -38,10 +57,8 @@ void ThreadPool::run_chunks(Batch& batch) noexcept {
 }
 
 ThreadPool::ThreadPool(std::size_t threads) {
-  if (threads == 0) {
-    const unsigned hc = std::thread::hardware_concurrency();
-    threads = hc == 0 ? 1 : hc;
-  }
+  if (threads == 0) threads = allowed_cpus().size();
+  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   // The calling thread participates in every batch, so spawn one fewer.
   for (std::size_t i = 1; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -67,14 +84,14 @@ void ThreadPool::pin_threads() {
   if (pinned_) return;
   pinned_ = true;
 #ifdef __linux__
-  const unsigned hc = std::thread::hardware_concurrency();
-  const unsigned cpus = hc == 0 ? 1 : hc;
-  for (std::size_t i = 0; i < workers_.size(); ++i) {
+  const std::vector<std::size_t> cpus = allowed_cpus();
+  for (std::size_t i = 0; i < workers_.size() && !cpus.empty(); ++i) {
     cpu_set_t set;
     CPU_ZERO(&set);
-    // Leave CPU 0 to the (unpinned) caller when there is room.
-    CPU_SET((i + 1) % cpus, &set);
-    // Best effort: an affinity failure (e.g. restricted cpuset) is harmless.
+    // Round-robin over the allowed CPUs, leaving the first to the
+    // (unpinned) caller when there is room.
+    CPU_SET(cpus[(i + 1) % cpus.size()], &set);
+    // Best effort: pinning is a scheduling hint, never a correctness need.
     (void)pthread_setaffinity_np(workers_[i].native_handle(), sizeof(set),
                                  &set);
   }

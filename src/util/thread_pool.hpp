@@ -25,9 +25,9 @@ class ThreadPool {
   /// Signature the chunk loops dispatch through: fn(ctx, index).
   using RawFn = void (*)(void*, std::size_t);
 
-  /// Creates `threads` workers; 0 means use the hardware concurrency
-  /// (minimum 1).  With a single worker parallel_for degrades to an inline
-  /// loop, which keeps single-core machines overhead-free.
+  /// Creates `threads` workers; 0 means one per CPU the caller may run on
+  /// (its affinity mask; minimum 1).  With a single worker parallel_for
+  /// degrades to an inline loop, which keeps single-core hosts overhead-free.
   explicit ThreadPool(std::size_t threads = 0);
   ~ThreadPool();
 
@@ -59,7 +59,7 @@ class ThreadPool {
   /// already has a C-style callback).
   void parallel_for_raw(std::size_t n, void* ctx, RawFn fn);
 
-  /// Pins the worker threads round-robin across the machine's CPUs
+  /// Pins the worker threads round-robin across the caller's allowed CPUs
   /// (Linux-only; a best-effort no-op elsewhere and on repeat calls).  The
   /// calling thread is left unpinned: it participates in every batch but may
   /// be the application's main thread.  Pure scheduling hint -- results are

@@ -575,10 +575,10 @@ TEST(SparseDense, FastForwardSkipsSilentGapBitIdentically) {
 }
 
 // ---------------------------------------------------------------------------
-// Delivery plane (struct-of-arrays message columns): differential across
-// schedulers and thread counts, exact payload reconstruction including mixed
-// widths and duplicate sends on one link, byte accounting, and the
-// steady-state zero-allocation guarantee.
+// Delivery plane (one send-order log per sender): differential across
+// schedulers and thread counts, exact payloads including mixed widths and
+// several sends on one link, byte accounting, and the steady-state
+// zero-allocation guarantee.
 // ---------------------------------------------------------------------------
 
 /// Runs `solve(env)` once as the dense single-threaded oracle, then under
@@ -668,9 +668,9 @@ TEST(DeliveryPlane, ApproxApspInvariant) {
 
 /// Sends a deliberately awkward mix every round until `rounds_` rounds have
 /// fired: node 0 sends three messages to its first neighbor (widths 1, 3,
-/// then 0) plus a width-2 broadcast -- duplicate link sends and mixed
-/// payload widths in a single outbox, the two paths that force the message
-/// columns off their uniform fast lane.
+/// then 0) plus a width-2 broadcast -- several messages on one link and
+/// mixed payload widths in a single outbox, as the blocker solver's stages
+/// (never Algorithm 1) produce, delivered in send order all the same.
 class ChatterProtocol final : public Protocol {
  public:
   ChatterProtocol(NodeId self, Round rounds) : self_(self), rounds_(rounds) {}
@@ -729,8 +729,8 @@ TEST(DeliveryPlane, MixedWidthAndDuplicateSendsArriveExactly) {
   EXPECT_EQ(in[3].msg, Message(kPing + 3, {0, 7}));
   ASSERT_EQ(in[4].from, 2u);
   EXPECT_EQ(in[4].msg, Message(kPing + 3, {2, 7}));
-  // Reconstructed envelopes zero their unused payload tail, exactly like
-  // the old whole-struct copies did.
+  // Delivered envelopes carry whole messages: the unused payload tail
+  // stays zero.
   EXPECT_EQ(in[0].msg.f[1], 0);
   EXPECT_EQ(in[2].msg.used, 0u);
 }
@@ -757,7 +757,7 @@ TEST(DeliveryPlane, SteadyStateRoundsAllocateNothing) {
     Engine engine(g, make_chatter(g, 64), opt);
     engine.step();  // init round
     engine.step();  // first steady-state round sizes the reuse buffers
-    engine.step();  // second: mixed-width ends_ columns exist everywhere
+    engine.step();  // second: every reused buffer has seen a full round
     const std::size_t warm = engine.plane_capacity_bytes();
     EXPECT_GT(warm, 0u);
     for (int i = 0; i < 40; ++i) {

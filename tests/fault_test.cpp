@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <span>
 #include <sstream>
@@ -278,6 +279,151 @@ TEST(FaultEngine, SameSeedSameRunDifferentSeedDifferentRun) {
   // Not a hard guarantee for every pair of seeds, but for this graph and
   // rate two fixed seeds diverging is part of the regression surface.
   EXPECT_NE(run_with_seed(100), run_with_seed(101));
+}
+
+// ---------------------------------------------------------------------------
+// Fault pin table: links that carry several messages in one round.  The
+// flood above, like Algorithm 1, puts at most one message on a link per
+// round, so the sweeps above never draw a fate with a message index above
+// 0.  Here every node puts four messages of mixed widths on one link each
+// round, and each row pins the paper quantities, every fault counter and a
+// digest of what every node received, in which round, from whom and in
+// which order.
+// A fate draw keyed by the wrong index, a frame admitted out of send order
+// or a receiver filled out of sender order changes the row.  Each row runs
+// sparse and dense, on 1 and 4 engine threads, and must repeat exactly; on
+// a mismatch the observed row prints in the table's own format.
+// ---------------------------------------------------------------------------
+
+constexpr std::uint32_t kTagChatter = 903;
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ull;
+
+/// Folds `v` into the FNV-1a 64 digest `h`, byte by byte.
+void fnv1a(std::uint64_t& h, std::uint64_t v) {
+  for (int b = 0; b < 8; ++b) {
+    h ^= (v >> (8 * b)) & 0xffu;
+    h *= 0x100000001b3ull;
+  }
+}
+
+/// For `rounds` rounds from round 0, sends three messages of widths 1, 3
+/// and 0 on one link (rotating over its neighbors by round) plus a width-2
+/// broadcast, so that link carries four messages that round.  Folds every
+/// received (round, sender, tag, used, fields) into an FNV-1a 64 digest.
+class ChatterNode final : public Protocol {
+ public:
+  ChatterNode(NodeId self, Round rounds) : self_(self), rounds_(rounds) {}
+
+  void init(Context& ctx) override { chatter(ctx); }
+  void send_phase(Context& ctx) override { chatter(ctx); }
+
+  void receive_phase(Context& ctx) override {
+    for (const Envelope& env : ctx.inbox()) {
+      fnv1a(digest_, ctx.round());
+      fnv1a(digest_, env.from);
+      fnv1a(digest_, env.msg.tag);
+      fnv1a(digest_, env.msg.used);
+      for (std::uint32_t i = 0; i < env.msg.used; ++i) {
+        fnv1a(digest_, static_cast<std::uint64_t>(env.msg.f[i]));
+      }
+    }
+  }
+
+  bool quiescent() const override { return sent_ >= rounds_; }
+  Round next_send_round(Round now) const override {
+    return sent_ < rounds_ ? now + 1 : kNeverSends;
+  }
+
+  std::uint64_t digest() const { return digest_; }
+
+ private:
+  void chatter(Context& ctx) {
+    if (sent_ >= rounds_) return;
+    const auto nbrs = ctx.neighbors();
+    const auto r = static_cast<std::int64_t>(ctx.round());
+    const auto me = static_cast<std::int64_t>(self_);
+    if (!nbrs.empty()) {
+      const NodeId to = nbrs[ctx.round() % nbrs.size()];
+      ctx.send(to, Message(kTagChatter, {me}));
+      ctx.send(to, Message(kTagChatter + 1, {me, r, 3 * me + r}));
+      ctx.send(to, Message(kTagChatter + 2, {}));
+    }
+    ctx.broadcast(Message(kTagChatter + 3, {me, r}));
+    ++sent_;
+  }
+
+  NodeId self_;
+  Round rounds_;
+  Round sent_ = 0;
+  std::uint64_t digest_ = kFnvBasis;
+};
+
+struct FaultPin {
+  Round rounds;
+  std::uint64_t messages;
+  std::uint64_t message_bytes;
+  FaultStats faults;
+  std::uint64_t digest;  ///< every node's receive digest, in node order
+
+  friend bool operator==(const FaultPin&, const FaultPin&) = default;
+  friend std::ostream& operator<<(std::ostream& os, const FaultPin& v) {
+    const FaultStats& f = v.faults;
+    os << '{' << v.rounds << ", " << v.messages << ", " << v.message_bytes
+       << ", {" << f.dropped << ", " << f.duplicated << ", " << f.delayed
+       << ", " << f.deferred << ", " << f.crash_dropped << ", "
+       << f.delivered << ", " << f.max_backlog << "}, 0x" << std::hex
+       << v.digest << std::dec << "ull}";
+    return os;
+  }
+};
+
+struct FaultPinCase {
+  const char* plan;
+  FaultPin want;
+};
+
+// {rounds, messages, message_bytes, {dropped, duplicated, delayed,
+//  deferred, crash_dropped, delivered, max_backlog}, digest}
+const FaultPinCase kFaultPins[] = {
+    {"dup=0.5,seed=21",
+     {6, 2388, 53472, {0, 1199, 0, 0, 0, 3587, 604}, 0xd0fab7626f8a5f2ull}},
+    {"drop=0.2,dup=0.3,delay=0.4:3,seed=22",
+     {8, 2388, 53472, {473, 585, 972, 0, 0, 2500, 748},
+      0x5e68c4a787d474baull}},
+    {"bw=1,dup=0.3,delay=0.3:2,seed=23",
+     {18, 2388, 53472, {0, 736, 949, 2482, 0, 3124, 1821},
+      0xde21a6ebe8ce3ecdull}},
+    {"drop=0.15,bw=2,crash=3@2..6,seed=24",
+     {10, 2388, 53472, {340, 0, 0, 451, 41, 2007, 418},
+      0x81aabddfb07fd289ull}},
+};
+
+TEST(FaultPins, MultiMessageLinksRepeatTheirRows) {
+  const Graph g = graph::erdos_renyi(40, 0.15, {1, 5, 0.0}, 801);
+  constexpr Round kChatterRounds = 6;
+  for (const FaultPinCase& c : kFaultPins) {
+    const FaultPlan plan = FaultPlan::parse(c.plan);
+    for (const bool dense : {false, true}) {
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<std::unique_ptr<Protocol>> procs;
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+          procs.push_back(std::make_unique<ChatterNode>(v, kChatterRounds));
+        }
+        EngineOptions opt;
+        opt.env = {threads, false, dense, nullptr, &plan};
+        Engine e(g, std::move(procs), opt);
+        const RunStats s = e.run();
+        FaultPin got{s.rounds, s.total_messages, s.message_bytes, s.faults,
+                     kFnvBasis};
+        for (NodeId v = 0; v < g.node_count(); ++v) {
+          fnv1a(got.digest,
+                static_cast<const ChatterNode&>(e.protocol(v)).digest());
+        }
+        EXPECT_EQ(got, c.want) << c.plan << " dense=" << dense
+                               << " threads=" << threads;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -9,6 +9,10 @@
 #include <thread>
 #include <vector>
 
+#ifdef __linux__
+#include <sched.h>
+#endif
+
 #include "util/int_math.hpp"
 #include "util/rng.hpp"
 #include "util/thread_pool.hpp"
@@ -199,6 +203,24 @@ TEST(ThreadPool, SingleThreadFallback) {
   pool.parallel_for(17, [&](std::size_t) { ++count; });  // inline path
   EXPECT_EQ(count, 17);
 }
+
+#ifdef __linux__
+TEST(ThreadPool, DefaultSizeFollowsTheAffinityMask) {
+  // A thread confined to one CPU (taskset, a cpuset) gets a one-thread
+  // default pool: more threads could only time-slice that CPU.
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  std::size_t first = 0;
+  while (!CPU_ISSET(first, &saved)) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::size_t threads = ThreadPool(0).thread_count();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(threads, 1u);
+}
+#endif
 
 TEST(ThreadPool, EmptyBatchIsNoop) {
   ThreadPool pool(2);
