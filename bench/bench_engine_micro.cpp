@@ -2,8 +2,9 @@
 // wall-clock cost per simulated round, message delivery throughput, and the
 // exact-key arithmetic.  These measure the *simulator*, not the algorithms'
 // round complexity (that's what E1-E9 report).  The ReferenceRows pair
-// times the reference closure's row kernel, which the engine does not run;
-// the Build rows time whole CONGEST oracle builds, one engine thread
+// times the reference closure's row kernel, which the engine does not run,
+// and the ReferenceBuild rows whole reference closures, inline against the
+// pool; the Build rows time whole CONGEST oracle builds, one engine thread
 // against the pool.
 //
 // The Sparse/Dense pairs run the same protocol under the active-set
@@ -13,6 +14,7 @@
 // BENCH_ENGINE.json.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -248,6 +250,44 @@ void BM_ReferenceRowsWide(benchmark::State& state) {
 }
 BENCHMARK(BM_ReferenceRowsWide)->Arg(8)->Unit(benchmark::kMillisecond);
 
+// build_oracle(kReference) whole, named BM_ReferenceBuild/{scale}/{threads}
+// on the RMAT graphs of BM_ReferenceRows: threads 1 runs the row loop
+// inline, 0 on the process-global pool.  The pool's workers do most of the
+// work, so the rows report wall-clock time, and mteps counts n * arcs edge
+// scans per wall-clock second.
+void run_reference_build(benchmark::State& state, std::uint32_t scale,
+                         std::size_t threads) {
+  const graph::Graph g = graph::rmat(scale, 8, {0, 8, 0.2}, 5);
+  service::OracleBuildOptions opts{service::Solver::kReference};
+  opts.env.threads = threads;
+  double wall_s = 0.0;
+  for (auto _ : state) {
+    const auto t0 = std::chrono::steady_clock::now();
+    const service::DistanceOracle o = service::build_oracle(g, opts);
+    wall_s += std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                            t0)
+                  .count();
+    benchmark::DoNotOptimize(o.dist(0, 0));
+  }
+  state.counters["mteps"] = static_cast<double>(state.iterations()) *
+                            g.node_count() *
+                            static_cast<double>(g.edge_count()) * 1e-6 /
+                            wall_s;
+}
+
+void register_reference_build_rows() {
+  for (const std::uint32_t scale : {8u, 11u}) {
+    for (const std::size_t threads : {std::size_t{1}, std::size_t{0}}) {
+      const std::string name = "BM_ReferenceBuild/" + std::to_string(scale) +
+                               "/" + std::to_string(threads);
+      benchmark::RegisterBenchmark(name.c_str(), run_reference_build, scale,
+                                   threads)
+          ->UseRealTime()
+          ->Unit(benchmark::kMillisecond);
+    }
+  }
+}
+
 void BM_KeyCompare(benchmark::State& state) {
   const core::GammaSq gamma{1234, 567};
   std::uint64_t acc = 0;
@@ -344,6 +384,7 @@ int main(int argc, char** argv) {
     }
   }
   register_build_rows();
+  register_reference_build_rows();
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

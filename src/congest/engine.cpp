@@ -108,15 +108,9 @@ Engine::Engine(const Graph& g, std::vector<std::unique_ptr<Protocol>> protocols,
 
   // Resolve the pool exactly once, here, instead of lazily re-checking on
   // every phase call.
-  const std::size_t threads =
-      g_force_threads != kNoThreadOverride ? g_force_threads : env.threads;
-  if (threads > 0) {
-    own_pool_ = std::make_unique<util::ThreadPool>(threads);
-    pool_ = own_pool_.get();
-  } else {
-    pool_ = &util::ThreadPool::global();
-  }
-  if (env.pin) pool_->pin_threads();
+  pool_ = &util::run_pool(
+      g_force_threads != kNoThreadOverride ? g_force_threads : env.threads,
+      env.pin, own_pool_);
 
   link_base_.resize(n + 1, 0);
   for (NodeId v = 0; v < n; ++v) {

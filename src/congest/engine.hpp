@@ -151,8 +151,10 @@ class Protocol {
 /// params field or a trailing argument), so concurrent runs never see each
 /// other's threads, schedule, recorder or fault plan.
 struct RunEnv {
-  /// Worker threads for node execution; 0 = use the process-global pool.
-  /// Results are bit-identical for every value (tested).
+  /// Threads of the run's pool (util::run_pool), which runs the engine's
+  /// node phases and the reference closure's rows; 0 = use the
+  /// process-global pool.  Results are bit-identical for every value
+  /// (tested).
   std::size_t threads = 0;
   /// Pin the resolved pool's worker threads round-robin across CPUs
   /// (Linux-only; a no-op elsewhere).  Pure scheduling hint: results are

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <deque>
+#include <set>
 
 #include "util/int_math.hpp"
 
@@ -21,6 +22,22 @@ enum Tag : std::uint32_t {
   kGatherUp = 5,   // {origin, a, b}
   kGatherDone = 6, // {count} root -> everyone via kBcast reuse
 };
+
+// A fault plan may deliver one message twice (congest/faults.hpp), so each
+// primitive takes a repeated message once: a duplicate carries nothing that
+// its first copy did not.
+
+/// Marks `from` among `kids` (a node's children, ascending as
+/// build_bfs_tree leaves them); true only the first time it is marked.
+bool first_from_child(const std::vector<NodeId>& kids,
+                      std::vector<char>& marked, NodeId from) {
+  const auto it = std::lower_bound(kids.begin(), kids.end(), from);
+  if (it == kids.end() || *it != from) return false;
+  char& mark = marked[static_cast<std::size_t>(it - kids.begin())];
+  if (mark != 0) return false;
+  mark = 1;
+  return true;
+}
 
 /// --- BFS tree ------------------------------------------------------------
 
@@ -116,8 +133,13 @@ class BroadcastProtocol final : public Protocol {
     for (const Envelope& env : ctx.inbox()) {
       if (env.msg.tag != kBcast) continue;
       const auto index = static_cast<std::size_t>(env.msg.f[0]);
+      if (received_.size() <= index) {
+        received_.resize(index + 1);
+        got_.resize(index + 1);
+      }
+      if (got_[index] != 0) continue;
+      got_[index] = 1;
       total_ = static_cast<std::size_t>(env.msg.f[1]);
-      if (received_.size() <= index) received_.resize(index + 1);
       received_[index] = env.msg.f[2];
       ++have_;
       forward_.push_back(env.msg);
@@ -142,6 +164,7 @@ class BroadcastProtocol final : public Protocol {
   const BfsTree& tree_;
   NodeId self_;
   std::vector<std::int64_t> received_;
+  std::vector<char> got_;  // index already taken
   std::deque<Message> forward_;
   std::size_t next_ = 0;   // root: next index to inject
   std::size_t have_ = 0;
@@ -153,7 +176,8 @@ class BroadcastProtocol final : public Protocol {
 class ConvergeMaxProtocol final : public Protocol {
  public:
   ConvergeMaxProtocol(const BfsTree& tree, NodeId self, std::int64_t value)
-      : tree_(tree), self_(self), best_(value), arg_(self) {}
+      : tree_(tree), self_(self), best_(value), arg_(self),
+        reported_(tree.children[self].size()) {}
 
   void send_phase(Context& ctx) override {
     if (!sent_ && reports_ == tree_.children[self_].size() &&
@@ -166,7 +190,10 @@ class ConvergeMaxProtocol final : public Protocol {
 
   void receive_phase(Context& ctx) override {
     for (const Envelope& env : ctx.inbox()) {
-      if (env.msg.tag != kConvMax) continue;
+      if (env.msg.tag != kConvMax ||
+          !first_from_child(tree_.children[self_], reported_, env.from)) {
+        continue;
+      }
       ++reports_;
       const std::int64_t v = env.msg.f[0];
       const auto id = static_cast<NodeId>(env.msg.f[1]);
@@ -200,6 +227,7 @@ class ConvergeMaxProtocol final : public Protocol {
   NodeId self_;
   std::int64_t best_;
   NodeId arg_;
+  std::vector<char> reported_;  // per child, in tree_.children order
   std::size_t reports_ = 0;
   bool sent_ = false;
 };
@@ -210,7 +238,7 @@ class GatherProtocol final : public Protocol {
  public:
   GatherProtocol(const BfsTree& tree, NodeId self,
                  std::vector<GatherItem> own_items)
-      : tree_(tree), self_(self) {
+      : tree_(tree), self_(self), counted_(tree.children[self].size()) {
     // Leaves with no items must still tell the parent they are done; we use a
     // per-child "expected count" handshake instead: every node first reports
     // its subtree item count, then streams the items.
@@ -234,6 +262,9 @@ class GatherProtocol final : public Protocol {
     for (const Envelope& env : ctx.inbox()) {
       switch (env.msg.tag) {
         case kGatherDone: {  // child subtree count
+          if (!first_from_child(tree_.children[self_], counted_, env.from)) {
+            break;
+          }
           ++count_reports_;
           expected_from_children_ += static_cast<std::size_t>(env.msg.f[0]);
           break;
@@ -241,6 +272,7 @@ class GatherProtocol final : public Protocol {
         case kGatherUp: {
           GatherItem it{static_cast<NodeId>(env.msg.f[0]), env.msg.f[1],
                         env.msg.f[2]};
+          if (!from_children_.insert(it).second) break;
           up_.push_back(it);
           ++received_from_children_;
           break;
@@ -283,6 +315,8 @@ class GatherProtocol final : public Protocol {
   const BfsTree& tree_;
   NodeId self_;
   std::vector<GatherItem> up_;
+  std::set<GatherItem> from_children_;  // items already taken from below
+  std::vector<char> counted_;  // per child, in tree_.children order
   std::size_t own_count_ = 0;
   std::size_t streamed_ = 0;
   std::size_t count_reports_ = 0;
@@ -320,8 +354,11 @@ BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats,
     const auto& p = static_cast<const BfsProtocol&>(engine.protocol(v));
     tree.parent[v] = p.parent();
     tree.depth[v] = p.joined() ? p.depth() : 0;
-    tree.children[v] = p.children();
-    std::sort(tree.children[v].begin(), tree.children[v].end());
+    std::vector<NodeId>& kids = tree.children[v];
+    kids = p.children();
+    std::sort(kids.begin(), kids.end());
+    // A duplicated join names its child twice.
+    kids.erase(std::unique(kids.begin(), kids.end()), kids.end());
     if (p.joined()) tree.height = std::max(tree.height, p.depth());
   }
   return tree;

@@ -51,7 +51,9 @@ std::pair<std::int64_t, NodeId> converge_max(
 
 /// Gathers every node's items to the root (pipelined up the tree) and then
 /// broadcasts the concatenation to everyone: each node ends with the full
-/// item list, sorted by (origin, payload).  Items are (origin, a, b) triples.
+/// item list, sorted by (origin, payload).  Items are (origin, a, b) triples,
+/// distinct across nodes: a node keeps one copy of an item its children
+/// send twice, as a duplicating fault plan may deliver it.
 /// Rounds: O(total_items + height).
 struct GatherItem {
   NodeId origin = 0;

@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <new>
 #include <sstream>
@@ -17,6 +18,7 @@
 #include "obs/trace.hpp"
 #include "seq/dijkstra.hpp"
 #include "util/int_math.hpp"
+#include "util/thread_pool.hpp"
 
 namespace dapsp::service {
 
@@ -212,16 +214,24 @@ Tables tables_from_parents(const std::vector<std::vector<Weight>>& dist,
 }
 
 /// The reference rows: seq::dijkstra_row for every source, written into
-/// row s of both n x n tables.
-void fill_reference_rows(const Graph& g, Table<Weight>& dist,
-                         Table<NodeId>& next) {
+/// row s of both n x n tables, on the pool `env` names.  One task per pool
+/// thread, each with its own workspace, claims one source at a time from a
+/// shared cursor.  Rows are disjoint and each is a pure function of g and
+/// its source, so the tables are the same at every thread count.
+void fill_reference_rows(const Graph& g, const congest::RunEnv& env,
+                         Table<Weight>& dist, Table<NodeId>& next) {
   const NodeId n = g.node_count();
-  seq::RowWorkspace ws;
-  for (NodeId s = 0; s < n; ++s) {
-    const std::size_t off = static_cast<std::size_t>(s) * n;
-    seq::dijkstra_row(g, s, {dist.data() + off, n}, {next.data() + off, n},
-                      ws);
-  }
+  std::unique_ptr<util::ThreadPool> own;
+  util::ThreadPool& pool = util::run_pool(env.threads, env.pin, own);
+  std::atomic<NodeId> cursor{0};
+  pool.parallel_for(pool.thread_count(), [&](std::size_t) {
+    seq::RowWorkspace ws;
+    for (NodeId s; (s = cursor.fetch_add(1, std::memory_order_relaxed)) < n;) {
+      const std::size_t off = static_cast<std::size_t>(s) * n;
+      seq::dijkstra_row(g, s, {dist.data() + off, n}, {next.data() + off, n},
+                        ws);
+    }
+  });
 }
 
 /// Fault-plan safety net for engine-backed builds: when the build's fault
@@ -347,7 +357,7 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts,
       const std::size_t cells = static_cast<std::size_t>(n) * n;
       Tables t{Table<Weight>(cells), Table<NodeId>(cells),
                {kReferenceLabel, true, {}, {}}};
-      fill_reference_rows(g, t.dist, t.next);
+      fill_reference_rows(g, env, t.dist, t.next);
       return t;
     }
   }

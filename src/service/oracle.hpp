@@ -35,7 +35,7 @@ enum class Solver {
   kApprox,     ///< (1+eps)-approx APSP (Thm I.5); distance-only oracle
   kReference,  ///< Dijkstra from every source -- not a CONGEST run; the
                ///< fast local builder for serving large graphs and for
-               ///< tests (see fill_reference_rows)
+               ///< tests (see build_oracle)
 };
 
 const char* solver_name(Solver s);
@@ -55,7 +55,8 @@ struct OracleBuildOptions {
   /// and its own export carries the analysis.
   bool critpath = false;
   /// Threads, schedule, recorder and fault plan of every engine the solver
-  /// runs (congest::RunEnv).  kReference runs no engine and ignores it.
+  /// runs (congest::RunEnv).  kReference runs no engine: it reads only
+  /// `threads` and `pin`, which pick the pool of its row loop.
   congest::RunEnv env{};
 };
 
@@ -217,11 +218,12 @@ inline constexpr char kReferenceLabel[] = "reference (Dijkstra sweep)";
 
 /// The one builder: runs the chosen solver on g and writes its rows once
 /// into the oracle's table, reported as `shards` row ranges (clamped to
-/// [1, n]).  kReference runs seq::dijkstra_row for every source, in source
-/// order on the calling thread with one reused workspace; its rows are
-/// bit-identical to make_oracle over seq::dijkstra distances and parents.
-/// The loop does not use the thread pool, so a build's cost does not depend
-/// on how many cores are free (docs/PERF.md, "Reference closure build").
+/// [1, n]).  kReference runs seq::dijkstra_row for every source on the pool
+/// of `opts.env` (util::run_pool: 0 threads = the process-global pool): one
+/// task per pool thread, each with its own workspace, takes the next source
+/// from a shared cursor and writes that row in place.  Its rows are
+/// bit-identical to make_oracle over seq::dijkstra distances and parents at
+/// every thread count (docs/PERF.md, "Reference closure build").
 /// kScaled reports distances and hop counts but no parents, so its next
 /// hops are derived over g's arcs: the first hop toward v is the
 /// out-neighbor w with w(u,w) + dist(w,v) = dist(u,v), ties broken by fewer

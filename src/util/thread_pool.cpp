@@ -98,6 +98,17 @@ void ThreadPool::pin_threads() {
 #endif
 }
 
+ThreadPool& run_pool(std::size_t threads, bool pin,
+                     std::unique_ptr<ThreadPool>& own) {
+  ThreadPool* pool = &ThreadPool::global();
+  if (threads > 0) {
+    own = std::make_unique<ThreadPool>(threads);
+    pool = own.get();
+  }
+  if (pin) pool->pin_threads();
+  return *pool;
+}
+
 void ThreadPool::parallel_for_raw(std::size_t n, void* ctx, RawFn fn) {
   if (n == 0) return;
   if (workers_.empty() || n == 1) {

@@ -13,6 +13,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <type_traits>
@@ -86,5 +87,13 @@ class ThreadPool {
   bool stop_ = false;
   bool pinned_ = false;  // pin_threads() already applied
 };
+
+/// The pool of a run with a thread budget, the one rule for every loop a
+/// run spreads over threads (the CONGEST engine's phases, the reference
+/// closure's rows): 0 borrows ThreadPool::global(); k > 0 constructs a pool
+/// of k threads into `own`, and with 1 every batch runs inline.  With
+/// `pin`, the returned pool's workers are pinned (pin_threads).
+ThreadPool& run_pool(std::size_t threads, bool pin,
+                     std::unique_ptr<ThreadPool>& own);
 
 }  // namespace dapsp::util

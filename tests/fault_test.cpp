@@ -21,7 +21,9 @@
 
 #include "congest/engine.hpp"
 #include "congest/faults.hpp"
+#include "congest/primitives.hpp"
 #include "congest/reliable.hpp"
+#include "core/blocker_apsp.hpp"
 #include "graph/generators.hpp"
 #include "graph/graph.hpp"
 #include "obs/json.hpp"
@@ -459,6 +461,70 @@ TEST(FaultBehavior, DuplicationIsHarmlessForMonotoneProtocols) {
   EXPECT_EQ(stats.faults.duplicated, stats.total_messages);
   EXPECT_EQ(stats.faults.delivered, 2 * stats.total_messages);
   EXPECT_EQ(bf_dists(e), seq::dijkstra(g, 0).dist);
+}
+
+TEST(FaultBehavior, TreePrimitivesTakeEachDuplicateOnce) {
+  // A duplicated join, value, report or item must count once: under each
+  // duplicating plan every primitive returns its faultless answer.  Before
+  // the primitives ignored repeats, the BFS tree listed a child twice and
+  // the convergecast waited for reports that never came.  Under bw=1 the
+  // duplicates queue behind the values, and gather_to_all's closing
+  // broadcast (3 values an item, 26 items here) outruns its synchronous
+  // round budget, as delays do; that budget is still open, so the gather
+  // runs under the two plans without a bandwidth cap.
+  const Graph graphs[] = {graph::grid(4, 4, {1, 5, 0.2}, 704),
+                          graph::erdos_renyi(24, 0.2, {0, 5, 0.2}, 705)};
+  const std::vector<std::int64_t> bcast = {5, -1, 9, 0, 7, 3};
+  for (const Graph& g : graphs) {
+    const NodeId n = g.node_count();
+    std::vector<std::int64_t> values(n);
+    std::vector<std::vector<GatherItem>> items(n);
+    for (NodeId v = 0; v < n; ++v) {
+      values[v] = (v * 37) % 11;
+      for (std::int64_t j = 0; j < v % 3; ++j) {
+        items[v].push_back({v, j, static_cast<std::int64_t>(v) * 10 + j});
+      }
+    }
+    const BfsTree tree0 = build_bfs_tree(g, 0);
+    const auto copies0 = broadcast_values(g, tree0, bcast);
+    const auto max0 = converge_max(g, tree0, values);
+    const auto items0 = gather_to_all(g, tree0, items);
+    for (const char* spec :
+         {"dup=0.5,seed=6", "dup=0.3,seed=5", "bw=1,dup=0.5,seed=6"}) {
+      SCOPED_TRACE(std::string(spec) + " n=" + std::to_string(n));
+      const FaultPlan plan = FaultPlan::parse(spec);
+      RunEnv env;
+      env.faults = &plan;
+      RunStats stats;
+      const BfsTree tree = build_bfs_tree(g, 0, &stats, env);
+      EXPECT_EQ(tree.parent, tree0.parent);
+      EXPECT_EQ(tree.children, tree0.children);
+      EXPECT_EQ(tree.height, tree0.height);
+      EXPECT_EQ(broadcast_values(g, tree, bcast, &stats, env), copies0);
+      EXPECT_EQ(converge_max(g, tree, values, &stats, env), max0);
+      if (plan.link_bandwidth == 0) {
+        EXPECT_EQ(gather_to_all(g, tree, items, &stats, env), items0);
+      }
+      EXPECT_GT(stats.faults.duplicated, 0u);
+    }
+  }
+}
+
+TEST(FaultBehavior, BlockerApspExactUnderDuplication) {
+  // Algorithm 3 runs all four primitives: its distances under each
+  // duplicating plan are the faultless ones.
+  const Graph g = graph::grid(4, 4, {0, 8, 0.0}, 2);
+  const core::BlockerApspResult want = core::blocker_apsp(g, {});
+  for (const char* spec :
+       {"dup=0.5,seed=6", "dup=0.3,seed=5", "bw=1,dup=0.5,seed=6"}) {
+    SCOPED_TRACE(spec);
+    const FaultPlan plan = FaultPlan::parse(spec);
+    core::BlockerApspParams p;
+    p.env.faults = &plan;
+    const core::BlockerApspResult got = core::blocker_apsp(g, p);
+    EXPECT_EQ(got.dist, want.dist);
+    EXPECT_GT(got.stats.faults.duplicated, 0u);
+  }
 }
 
 TEST(FaultBehavior, DelayStretchesTheRunButKeepsBfExact) {

@@ -9,13 +9,18 @@
 // buckets and move down many times, and distance levels shared by many
 // nodes and joined by zero-weight chains, where the merge of a level's
 // sorted arrivals with its zero-weight FIFO decides every hop and parent
-// tie.  Labelled "service", with the rest of the serving tier.
+// tie.  Every graph is also built on pools of 1, 2 and 4 threads and on the
+// process-global pool, which must all give the one-thread closure bit for
+// bit, and two builds run at once on the global pool.  Labelled "service",
+// with the rest of the serving tier.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <iterator>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -33,6 +38,9 @@ using graph::kInfDist;
 using graph::WeightSpec;
 
 const std::size_t kShardCounts[] = {1, 3, 4, 8};
+/// Pools of the row loop besides one thread: pools of their own with 2 and
+/// 4 threads, and 0 for the process-global pool.
+const std::size_t kPooledThreadCounts[] = {2, 4, 0};
 
 /// The slow reference closure: make_oracle over seq::dijkstra.
 DistanceOracle slow_closure(const Graph& g) {
@@ -121,17 +129,35 @@ void expect_same_closure(const DistanceOracle& want,
   }
 }
 
-/// The builder at every shard count against the slow closure, plus Delta
-/// and strong connectivity against the slow rows.
+/// `got` has `want`'s tables and shard layout, compared as whole rows.
+void expect_identical(const DistanceOracle& want, const DistanceOracle& got) {
+  const NodeId n = want.node_count();
+  ASSERT_EQ(got.node_count(), n);
+  for (NodeId u = 0; u < n; ++u) {
+    ASSERT_TRUE(std::ranges::equal(got.dist_row(u), want.dist_row(u))) << u;
+    ASSERT_TRUE(std::ranges::equal(got.next_row(u), want.next_row(u))) << u;
+  }
+  EXPECT_EQ(got.shard_layout(), want.shard_layout());
+}
+
+/// The builder at every shard count against the slow closure, each on one
+/// thread and again on every pool, plus Delta and strong connectivity
+/// against the slow rows.
 void check_graph(const Graph& g, const std::string& what) {
   SCOPED_TRACE(what + " n=" + std::to_string(g.node_count()) +
                " arcs=" + std::to_string(g.edge_count()));
   const DistanceOracle want = slow_closure(g);
-  const OracleBuildOptions opts{Solver::kReference};
-  expect_same_closure(want, build_oracle(g, opts));
+  OracleBuildOptions opts{Solver::kReference};
   for (const std::size_t shards : kShardCounts) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
-    expect_same_closure(want, build_oracle(g, opts, shards));
+    opts.env.threads = 1;
+    const DistanceOracle one = build_oracle(g, opts, shards);
+    expect_same_closure(want, one);
+    for (const std::size_t threads : kPooledThreadCounts) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      opts.env.threads = threads;
+      expect_identical(one, build_oracle(g, opts, shards));
+    }
   }
 
   Weight delta = 0;
@@ -266,6 +292,31 @@ TEST(ReferenceClosure, ParallelArcs) {
 TEST(ReferenceClosure, SingleNode) {
   check_graph(GraphBuilder(1, false).build(), "n=1");
   check_graph(graph::path(1, {1, 1, 0.0}, 8300), "path n=1");
+}
+
+TEST(ReferenceClosure, ConcurrentBuildsOnTheGlobalPool) {
+  // Two callers build at once on the process-global pool: the workers serve
+  // one batch at a time, so the second submitter runs its whole row loop
+  // inline.  Both closures are the one-thread closure.
+  const Graph g = graph::rmat(8, 8, {0, 8, 0.2}, 8300);
+  OracleBuildOptions opts{Solver::kReference};
+  opts.env.threads = 1;
+  const DistanceOracle one = build_oracle(g, opts, 4);
+  opts.env.threads = 0;
+  for (int round = 0; round < 4; ++round) {
+    std::atomic<int> ready{0};
+    DistanceOracle got[2];
+    const auto build = [&](int i) {
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      got[i] = build_oracle(g, opts, 4);
+    };
+    std::thread other(build, 1);
+    build(0);
+    other.join();
+    expect_identical(one, got[0]);
+    expect_identical(one, got[1]);
+  }
 }
 
 TEST(ReferenceClosure, KernelRowsWithOneWorkspace) {
