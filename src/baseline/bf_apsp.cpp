@@ -8,12 +8,12 @@
 namespace dapsp::baseline {
 
 using congest::Context;
-using congest::Engine;
 using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
@@ -104,23 +104,20 @@ class BellmanFordProtocol final : public Protocol {
 BfSsspResult bf_sssp(const Graph& g, NodeId source, bool reverse,
                      congest::Round max_rounds, const congest::RunEnv& env) {
   const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<BellmanFordProtocol>(g, v, source, reverse));
-  }
-  EngineOptions opt;
-  opt.max_rounds = max_rounds == 0 ? static_cast<Round>(n) + 2 : max_rounds;
-  opt.env = env;
-  Engine engine(g, std::move(procs), opt);
+  const EngineOptions opt{
+      .max_rounds = max_rounds == 0 ? static_cast<Round>(n) + 2 : max_rounds,
+      .env = env};
+  const auto run = run_nodes(g, opt, [&](NodeId v) {
+    return std::make_unique<BellmanFordProtocol>(g, v, source, reverse);
+  });
 
   BfSsspResult res;
-  res.stats = engine.run();
+  res.stats = run.stats;
   res.dist.resize(n);
   res.hops.resize(n);
   res.parent.resize(n);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const BellmanFordProtocol&>(engine.protocol(v));
+    const BellmanFordProtocol& p = run.node(v);
     res.dist[v] = p.dist();
     res.hops[v] = static_cast<std::uint32_t>(p.hops());
     res.parent[v] = p.parent();
@@ -132,11 +129,13 @@ BfSsspResult bf_sssp(const Graph& g, NodeId source, bool reverse,
 BfApspResult bf_apsp(const Graph& g, const congest::RunEnv& env) {
   BfApspResult res;
   res.dist.reserve(g.node_count());
+  res.parent.reserve(g.node_count());
   for (NodeId s = 0; s < g.node_count(); ++s) {
     BfSsspResult one =
         bf_sssp(g, s, /*reverse=*/false, /*max_rounds=*/0, env);
     res.stats += one.stats;
     res.dist.push_back(std::move(one.dist));
+    res.parent.push_back(std::move(one.parent));
   }
   return res;
 }

@@ -34,8 +34,9 @@ BfSsspResult bf_sssp(const graph::Graph& g, NodeId source, bool reverse = false,
                      const congest::RunEnv& env = {});
 
 struct BfApspResult {
-  std::vector<std::vector<Weight>> dist;  ///< dist[s][v]
-  congest::RunStats stats;                ///< n sequential SSSP phases
+  std::vector<std::vector<Weight>> dist;    ///< dist[s][v]
+  std::vector<std::vector<NodeId>> parent;  ///< parent[s][v], as bf_sssp's
+  congest::RunStats stats;                  ///< n sequential SSSP phases
 };
 
 /// n sequential Bellman-Ford SSSPs (the O(n^2)-round baseline).

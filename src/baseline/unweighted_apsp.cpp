@@ -8,12 +8,11 @@
 namespace dapsp::baseline {
 
 using congest::Context;
-using congest::Engine;
-using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
@@ -182,27 +181,21 @@ PositiveApspResult positive_apsp(const Graph& g, PositiveApspParams params) {
     cfg.source_index[cfg.sources[i]] = static_cast<std::int32_t>(i);
   }
 
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(
-        std::make_unique<PositiveApspProtocol>(cfg, v, params.weight_of));
-  }
-  EngineOptions opt;
-  opt.max_rounds =
+  const Round budget =
       params.max_rounds > 0
           ? params.max_rounds
           : static_cast<Round>(params.distance_cap) + cfg.sources.size() + 4;
-  opt.env = params.env;
-  Engine engine(g, std::move(procs), opt);
+  const auto run =
+      run_nodes(g, {.max_rounds = budget, .env = params.env}, [&](NodeId v) {
+        return std::make_unique<PositiveApspProtocol>(cfg, v, params.weight_of);
+      });
 
   PositiveApspResult res;
-  res.stats = engine.run();
+  res.stats = run.stats;
   res.sources = cfg.sources;
   res.dist.assign(cfg.sources.size(), std::vector<Weight>(n, kInfDist));
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p =
-        static_cast<const PositiveApspProtocol&>(engine.protocol(v));
+    const PositiveApspProtocol& p = run.node(v);
     for (std::size_t i = 0; i < cfg.sources.size(); ++i) {
       res.dist[i][v] = p.dist()[i];
     }

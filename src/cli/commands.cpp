@@ -9,13 +9,9 @@
 #include <memory>
 #include <sstream>
 
-#include "baseline/bf_apsp.hpp"
 #include "congest/engine.hpp"
 #include "congest/faults.hpp"
-#include "core/approx_apsp.hpp"
-#include "core/blocker_apsp.hpp"
 #include "core/bounds.hpp"
-#include "core/pipelined_ssp.hpp"
 #include "graph/generators.hpp"
 #include "graph/io.hpp"
 #include "graph/properties.hpp"
@@ -35,24 +31,16 @@ using graph::kInfDist;
 using graph::NodeId;
 using graph::Weight;
 
-/// Distance matrix + provenance shared by all APSP-ish commands.
-struct DistOutput {
-  std::vector<NodeId> sources;
-  std::vector<std::vector<Weight>> dist;
-  congest::RunStats stats;
-  std::uint64_t bound = 0;
-  std::string algo;
-};
-
-void write_table(const DistOutput& r, bool quiet, std::ostream& out) {
-  out << "algorithm: " << r.algo << "\n"
-      << "rounds: " << r.stats.rounds << " (bound " << r.bound << ")\n"
-      << "messages: " << r.stats.total_messages
-      << "  bytes: " << r.stats.message_bytes
-      << "  max-link-congestion: " << r.stats.max_link_congestion << "\n"
-      << "round-msgs: " << r.stats.round_messages_hist.summary() << "\n";
-  if (r.stats.faults.any()) {
-    const congest::FaultStats& f = r.stats.faults;
+void write_table(const service::SolverRun& r, bool quiet, std::ostream& out) {
+  const congest::RunStats& st = r.meta.stats;
+  out << "algorithm: " << r.meta.label << "\n"
+      << "rounds: " << st.rounds << " (bound " << r.meta.bound << ")\n"
+      << "messages: " << st.total_messages
+      << "  bytes: " << st.message_bytes
+      << "  max-link-congestion: " << st.max_link_congestion << "\n"
+      << "round-msgs: " << st.round_messages_hist.summary() << "\n";
+  if (st.faults.any()) {
+    const congest::FaultStats& f = st.faults;
     out << "faults: dropped=" << f.dropped << " dup=" << f.duplicated
         << " delayed=" << f.delayed << " deferred=" << f.deferred
         << " crash-dropped=" << f.crash_dropped
@@ -77,24 +65,25 @@ void write_table(const DistOutput& r, bool quiet, std::ostream& out) {
   }
 }
 
-void write_json(const DistOutput& r, bool quiet, std::ostream& out) {
+void write_json(const service::SolverRun& r, bool quiet, std::ostream& out) {
   // Through obs::JsonWriter so the algorithm label (which carries commas,
   // parens, and whatever a future solver puts in its name) is escaped and
   // the document always parses.
+  const congest::RunStats& st = r.meta.stats;
   obs::JsonWriter w(out);
   w.begin_object()
-      .field("algorithm", r.algo)
-      .field("rounds", static_cast<std::uint64_t>(r.stats.rounds))
-      .field("bound", r.bound)
-      .field("messages", r.stats.total_messages)
-      .field("message_bytes", r.stats.message_bytes)
-      .field("max_link_congestion", r.stats.max_link_congestion)
-      .field("max_link_total", r.stats.max_link_total)
-      .field("skipped_rounds", static_cast<std::uint64_t>(r.stats.skipped_rounds));
+      .field("algorithm", r.meta.label)
+      .field("rounds", static_cast<std::uint64_t>(st.rounds))
+      .field("bound", r.meta.bound)
+      .field("messages", st.total_messages)
+      .field("message_bytes", st.message_bytes)
+      .field("max_link_congestion", st.max_link_congestion)
+      .field("max_link_total", st.max_link_total)
+      .field("skipped_rounds", static_cast<std::uint64_t>(st.skipped_rounds));
   w.key("round_messages");
-  r.stats.round_messages_hist.write_json(w);
-  if (r.stats.faults.any()) {
-    const congest::FaultStats& f = r.stats.faults;
+  st.round_messages_hist.write_json(w);
+  if (st.faults.any()) {
+    const congest::FaultStats& f = st.faults;
     w.key("faults")
         .begin_object()
         .field("dropped", f.dropped)
@@ -128,10 +117,10 @@ void write_json(const DistOutput& r, bool quiet, std::ostream& out) {
   out << "\n";
 }
 
-void write_csv(const DistOutput& r, std::ostream& out) {
+void write_csv(const service::SolverRun& r, std::ostream& out) {
   // Header comment rows, then source,target,dist rows (inf omitted).
-  out << "# algorithm," << r.algo << "\n# rounds," << r.stats.rounds
-      << "\n# messages," << r.stats.total_messages << "\n";
+  out << "# algorithm," << r.meta.label << "\n# rounds," << r.meta.stats.rounds
+      << "\n# messages," << r.meta.stats.total_messages << "\n";
   out << "source,target,dist\n";
   for (std::size_t i = 0; i < r.dist.size(); ++i) {
     for (std::size_t v = 0; v < r.dist[i].size(); ++v) {
@@ -141,7 +130,7 @@ void write_csv(const DistOutput& r, std::ostream& out) {
   }
 }
 
-void emit(const Options& opt, const DistOutput& r, std::ostream& out) {
+void emit(const Options& opt, const service::SolverRun& r, std::ostream& out) {
   std::ostringstream buffer;
   if (opt.format == Format::kJson) {
     write_json(r, opt.quiet, buffer);
@@ -157,90 +146,6 @@ void emit(const Options& opt, const DistOutput& r, std::ostream& out) {
   } else {
     out << buffer.str();
   }
-}
-
-DistOutput run_apsp(const Options& opt, const Graph& g,
-                    const congest::RunEnv& env) {
-  DistOutput r;
-  r.sources.resize(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) r.sources[v] = v;
-  switch (opt.algo) {
-    case Algo::kPipelined: {
-      const Weight delta = graph::max_finite_distance(g);
-      auto res = core::pipelined_apsp(g, delta, env);
-      r.dist = std::move(res.dist);
-      r.stats = res.stats;
-      r.bound = res.theoretical_bound;
-      r.algo = "pipelined (Algorithm 1, Thm I.1 ii)";
-      break;
-    }
-    case Algo::kBlocker: {
-      core::BlockerApspParams p;
-      p.h = opt.h;
-      p.env = env;
-      auto res = core::blocker_apsp(g, p);
-      r.dist = std::move(res.dist);
-      r.stats = res.stats;
-      r.bound = res.theoretical_bound;
-      r.algo = "blocker (Algorithm 3, Thm I.2, h=" + std::to_string(res.h) + ")";
-      break;
-    }
-    case Algo::kBellmanFord: {
-      auto res = baseline::bf_apsp(g, env);
-      r.dist = std::move(res.dist);
-      r.stats = res.stats;
-      r.bound = static_cast<std::uint64_t>(g.node_count()) *
-                (g.node_count() + 2ULL);
-      r.algo = "bellman-ford baseline (n sequential SSSPs)";
-      break;
-    }
-  }
-  return r;
-}
-
-DistOutput run_kssp(const Options& opt, const Graph& g,
-                    const congest::RunEnv& env) {
-  DistOutput r;
-  const Weight delta = graph::max_finite_distance(g);
-  if (opt.algo == Algo::kBlocker) {
-    core::BlockerApspParams p;
-    p.sources = opt.sources;
-    p.h = opt.h;
-    p.env = env;
-    auto res = core::blocker_apsp(g, p);
-    r.sources = res.sources;
-    r.dist = std::move(res.dist);
-    r.stats = res.stats;
-    r.bound = res.theoretical_bound;
-    r.algo = "blocker k-SSP (Algorithm 3)";
-  } else {
-    auto res = core::pipelined_kssp_full(g, opt.sources, delta, env);
-    r.sources = res.sources;
-    r.dist = std::move(res.dist);
-    r.stats = res.stats;
-    r.bound = res.theoretical_bound;
-    r.algo = "pipelined k-SSP (Thm I.1 iii)";
-  }
-  return r;
-}
-
-DistOutput run_approx(const Options& opt, const Graph& g,
-                      const congest::RunEnv& env) {
-  core::ApproxApspParams p;
-  p.eps = opt.eps;
-  p.env = env;
-  auto res = core::approx_apsp(g, p);
-  DistOutput r;
-  r.sources.resize(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) r.sources[v] = v;
-  r.dist = std::move(res.dist);
-  r.stats = res.stats;
-  r.bound = res.implementation_bound;
-  std::ostringstream name;
-  name << "approx APSP (Thm I.5, eps=" << opt.eps << ", " << res.scales
-       << " scales)";
-  r.algo = name.str();
-  return r;
 }
 
 int cmd_info(const Options& opt, const Graph& g, std::ostream& out) {
@@ -284,7 +189,7 @@ int cmd_gen(const Options& opt, const Graph& g, std::ostream& out) {
 service::OracleBuildOptions make_build_options(const Options& opt,
                                                const congest::RunEnv& env) {
   service::OracleBuildOptions b;
-  b.solver = service::parse_solver(opt.solver);
+  b.solver = opt.solver;
   b.h = opt.h;
   b.eps = opt.eps;
   // With --critpath but no trace/profile recorder in `env`, the build
@@ -471,28 +376,22 @@ class TraceScope {
 };
 
 /// `dapsp profile`: run a solver under the critical-path profiler and
-/// report where its wall-clock went.  With --sources the target is a k-SSP
-/// run (respecting --algo); otherwise an oracle build for --solver -- the
-/// same builds serve/query time, now explained.  The two check lines are
-/// the analyzer's self-consistency invariants (chain-span wall-clock can
-/// never exceed the command's wall-clock, and a real critical path must
-/// cover at least the largest single phase); CI's profile-smoke step
-/// asserts them from the json form.
+/// report where its wall-clock went.  With --sources the target is
+/// --solver's k-SSP run, the one kssp prints; otherwise an oracle build for
+/// --solver -- the same builds serve/query time, now explained.  The two
+/// check lines are the analyzer's self-consistency invariants (chain-span
+/// wall-clock can never exceed the command's wall-clock, and a real
+/// critical path must cover at least the largest single phase); CI's
+/// profile-smoke step asserts them from the json form.
 int cmd_profile(const Options& opt, const Graph& g,
                 const congest::RunEnv& env, std::ostream& out) {
   const auto t0 = std::chrono::steady_clock::now();
-  std::string target;
-  congest::RunStats run_stats;
-  if (!opt.sources.empty()) {
-    DistOutput r = run_kssp(opt, g, env);
-    target = std::move(r.algo);
-    run_stats = std::move(r.stats);
-  } else {
-    const auto oracle =
-        service::build_oracle(g, make_build_options(opt, env));
-    target = oracle.solver_label();
-    run_stats = oracle.build_stats();
-  }
+  const service::OracleBuildOptions b = make_build_options(opt, env);
+  const service::OracleMeta meta =
+      opt.sources.empty() ? service::build_oracle(g, b).meta()
+                          : service::run_solver(g, b, opt.sources).meta;
+  const std::string& target = meta.label;
+  const congest::RunStats& run_stats = meta.stats;
   const auto wall_ns = static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - t0)
@@ -598,13 +497,11 @@ int run_command(const Options& opt, std::ostream& out, std::ostream& err) {
         rc = cmd_info(opt, g, out);
         break;
       case Command::kApsp:
-        emit(opt, run_apsp(opt, g, env), out);
-        break;
       case Command::kKssp:
-        emit(opt, run_kssp(opt, g, env), out);
-        break;
       case Command::kApprox:
-        emit(opt, run_approx(opt, g, env), out);
+        emit(opt,
+             service::run_solver(g, make_build_options(opt, env), opt.sources),
+             out);
         break;
       case Command::kServe:
         rc = cmd_serve(opt, g, env, out);

@@ -3,6 +3,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -105,6 +106,7 @@ Options parse_options(const std::vector<std::string>& args) {
   if (args.empty()) return opt;  // kHelp
   opt.command = parse_command(args[0]);
 
+  std::optional<service::Solver> solver;
   std::size_t i = 1;
   const auto next_value = [&](const std::string& flag) -> std::string {
     if (i + 1 >= args.size()) fail(flag + " needs a value");
@@ -140,16 +142,12 @@ Options parse_options(const std::vector<std::string>& args) {
                                 std::numeric_limits<std::uint64_t>::max());
     } else if (a == "--directed") {
       opt.directed = true;
-    } else if (a == "--algo") {
+    } else if (a == "--solver" || a == "--algo") {
       const std::string v = next_value(a);
-      if (v == "pipelined") {
-        opt.algo = Algo::kPipelined;
-      } else if (v == "blocker") {
-        opt.algo = Algo::kBlocker;
-      } else if (v == "bf") {
-        opt.algo = Algo::kBellmanFord;
-      } else {
-        fail("unknown --algo '" + v + "' (pipelined|blocker|bf)");
+      solver = service::parse_solver(v);
+      if (!solver) {
+        fail("unknown " + a + " '" + v +
+             "' (pipelined|blocker|scaled|approx|reference|bf)");
       }
     } else if (a == "--sources") {
       opt.sources = parse_id_list(a, next_value(a));
@@ -158,8 +156,6 @@ Options parse_options(const std::vector<std::string>& args) {
           a, next_value(a), std::numeric_limits<std::uint32_t>::max()));
     } else if (a == "--eps") {
       opt.eps = parse_double(a, next_value(a));
-    } else if (a == "--solver") {
-      opt.solver = next_value(a);
     } else if (a == "--queries") {
       opt.queries_file = next_value(a);
     } else if (a == "--q") {
@@ -225,8 +221,29 @@ Options parse_options(const std::vector<std::string>& args) {
     }
   }
 
+  // One set of rules for the commands that run a solver: apsp prints its
+  // rows, kssp is apsp that requires --sources, approx is apsp with
+  // --solver approx preset, and profile --sources profiles the same run.
+  const bool rows_command = opt.command == Command::kApsp ||
+                            opt.command == Command::kKssp ||
+                            opt.command == Command::kApprox;
+  opt.solver = solver.value_or(opt.command == Command::kApprox
+                                   ? service::Solver::kApprox
+                                   : service::Solver::kPipelined);
   if (opt.command == Command::kKssp && opt.sources.empty()) {
     fail("kssp needs --sources");
+  }
+  if (!opt.sources.empty() && !rows_command &&
+      opt.command != Command::kProfile) {
+    fail("--sources is read by apsp, kssp, approx and profile only");
+  }
+  if (!opt.sources.empty() && !service::solver_takes_sources(opt.solver)) {
+    fail(std::string("--sources needs --solver pipelined or blocker, not ") +
+         service::solver_name(opt.solver));
+  }
+  if (opt.solver == service::Solver::kReference && rows_command) {
+    fail("--solver reference runs no CONGEST solver; it builds serve, query "
+         "and profile oracles only");
   }
   if (opt.command == Command::kQuery && opt.query_strings.empty() &&
       !opt.queries_file) {
@@ -252,9 +269,9 @@ usage: dapsp_cli <command> [flags]
 commands:
   gen      generate a graph (write with --out / --dot)
   info     print graph statistics (n, m, W, Delta, diameter)
-  apsp     exact all-pairs shortest paths
-  kssp     exact k-source shortest paths (needs --sources)
-  approx   (1+eps)-approximate APSP
+  apsp     run --solver, print its distance rows (all pairs or --sources)
+  kssp     apsp that requires --sources
+  approx   apsp with --solver approx preset ((1+eps)-approximate)
   serve    build a distance oracle, then answer query lines from stdin
            (or --queries FILE) until EOF/quit; "stats" prints counters,
            "batch N" pipelines the next N lines, "rebuild" hot-swaps a
@@ -263,8 +280,8 @@ commands:
   query    build a distance oracle, run a one-shot query batch (--q/--queries)
   profile  run a solver under the critical-path profiler and print the
            longest causal chain through the round engine (table or
-           --format json); with --sources profiles a k-SSP run, otherwise
-           an oracle build for --solver
+           --format json); with --sources profiles --solver's k-SSP
+           run, otherwise an oracle build for --solver
   help     this text
 
 input (choose one):
@@ -278,18 +295,18 @@ input (choose one):
   --zero F                 fraction of zero-weight edges         [0]
   --seed S --directed      determinism / directedness
 
-algorithm:
-  --algo pipelined|blocker|bf   APSP engine                      [pipelined]
-  --sources 0,3,5               k-SSP sources
-  --h H                         hop parameter for blocker        [auto]
-  --eps E                       approximation quality            [0.5]
+solver (apsp, kssp, approx, serve, query, profile):
+  --solver S               pipelined|blocker|scaled|approx|reference|bf
+                           (--algo is an alias)  [pipelined; approx: approx]
+  --sources 0,3,5          k-SSP sources (pipelined and blocker only)
+  --h H                    hop parameter for blocker              [auto]
+  --eps E                  approximation quality                  [0.5]
 
 service (serve/query; query lines are "dist U V" | "next U V" | "path U V"):
-  --solver S               pipelined|blocker|scaled|approx|reference
-                           oracle build algorithm                 [pipelined]
   --q "path 0 5"           add one query (repeatable)
   --queries FILE           read query lines from FILE
-  --threads N              batch query workers (0 = hardware)     [0]
+  --threads N              batch query workers (0 = one per CPU of
+                           the process's affinity mask)           [0]
   --pin                    pin engine worker threads to CPUs (Linux)
   --cache N                path-cache capacity (0 disables)       [4096]
   --shards N               vertex-range oracle shards             [1]

@@ -12,22 +12,22 @@
 #include <vector>
 
 #include "graph/graph.hpp"
+#include "service/oracle.hpp"
 
 namespace dapsp::cli {
 
 enum class Command {
   kGen,      ///< generate a graph and write it (or its DOT) out
   kInfo,     ///< print graph statistics
-  kApsp,     ///< exact APSP (pipelined | blocker | bf)
-  kKssp,     ///< exact k-SSP from --sources
-  kApprox,   ///< (1+eps)-approximate APSP
+  kApsp,     ///< run --solver, print its distance rows
+  kKssp,     ///< apsp that requires --sources
+  kApprox,   ///< apsp with --solver approx preset
   kServe,    ///< build a distance oracle, answer queries from stdin/--queries
   kQuery,    ///< build a distance oracle, run a one-shot query batch
   kProfile,  ///< run a solver under the critical-path profiler, report chain
   kHelp,
 };
 
-enum class Algo { kPipelined, kBlocker, kBellmanFord };
 enum class Format { kTable, kJson, kCsv, kBinary };
 
 struct Options {
@@ -46,17 +46,18 @@ struct Options {
   std::uint64_t seed = 1;
   bool directed = false;
 
-  // Algorithm parameters.
-  Algo algo = Algo::kPipelined;
-  std::vector<graph::NodeId> sources;
+  // Solver parameters: --solver (alias --algo) for every command that
+  // runs one; approx presets kApprox.
+  service::Solver solver = service::Solver::kPipelined;
+  std::vector<graph::NodeId> sources;  // k-SSP; pipelined and blocker only
   std::uint32_t h = 0;  // 0 = auto
   double eps = 0.5;
 
   // Distance-oracle service (serve / query commands).
-  std::string solver = "pipelined";  // pipelined|blocker|scaled|approx|reference
   std::optional<std::string> queries_file;  // protocol lines for serve/query
   std::vector<std::string> query_strings;   // repeated --q "path 0 5"
-  std::size_t threads = 0;                  // batch workers; 0 = hardware
+  std::size_t threads = 0;  // batch workers; 0 = one per CPU the process may
+                            // run on (its affinity mask)
   bool pin = false;                         // pin engine worker threads
   std::size_t cache_capacity = 4096;        // cached paths; 0 disables
   std::size_t shards = 1;                   // vertex-range oracle shards

@@ -43,6 +43,7 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "util/thread_pool.hpp"
@@ -244,6 +245,10 @@ class Engine {
   const graph::Graph& graph() const noexcept { return graph_; }
   Protocol& protocol(NodeId v) { return *protocols_[v]; }
   const Protocol& protocol(NodeId v) const { return *protocols_[v]; }
+  /// Hands the protocols back after run(); the engine is spent after this.
+  std::vector<std::unique_ptr<Protocol>> release_protocols() noexcept {
+    return std::move(protocols_);
+  }
   const RunStats& stats() const noexcept { return stats_; }
   Round current_round() const noexcept { return round_; }
 
@@ -420,5 +425,30 @@ class Engine {
 
   std::vector<NodeContext> contexts_;  // one per node, reused every phase
 };
+
+/// A finished run_nodes run: the engine's stats and every node's protocol.
+template <typename P>
+struct NodeRun {
+  RunStats stats;
+  std::vector<std::unique_ptr<Protocol>> protocols;
+  /// Node v's protocol, as the type run_nodes built it with.
+  P& node(NodeId v) const { return static_cast<P&>(*protocols[v]); }
+};
+
+/// The one way to run a protocol at every node: builds `make(v)`, a
+/// std::unique_ptr<P>, at each node of g, runs an engine with `options` to
+/// quiescence or its round limit, and returns the stats and the protocols.
+template <typename Make>
+auto run_nodes(const graph::Graph& g, EngineOptions options, Make&& make) {
+  using P = typename std::invoke_result_t<Make&, NodeId>::element_type;
+  std::vector<std::unique_ptr<Protocol>> procs;
+  procs.reserve(g.node_count());
+  for (NodeId v = 0; v < g.node_count(); ++v) procs.push_back(make(v));
+  Engine engine(g, std::move(procs), options);
+  NodeRun<P> out;
+  out.stats = engine.run();
+  out.protocols = engine.release_protocols();
+  return out;
+}
 
 }  // namespace dapsp::congest

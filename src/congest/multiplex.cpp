@@ -154,24 +154,18 @@ MultiplexResult run_multiplexed(
     Round max_rounds,
     const std::function<void(NodeId, MultiplexProtocol&)>& accessor,
     const RunEnv& env) {
-  const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
+  const EngineOptions opt{.max_rounds = max_rounds, .env = env};
+  const auto run = run_nodes(g, opt, [&](NodeId v) {
     std::vector<std::unique_ptr<Protocol>> inner;
     inner.reserve(instances);
     for (std::size_t i = 0; i < instances; ++i) inner.push_back(make(i, v));
-    procs.push_back(std::make_unique<MultiplexProtocol>(g, v, std::move(inner)));
-  }
-  EngineOptions opt;
-  opt.max_rounds = max_rounds;
-  opt.env = env;
-  Engine engine(g, std::move(procs), opt);
+    return std::make_unique<MultiplexProtocol>(g, v, std::move(inner));
+  });
 
   MultiplexResult res;
-  res.stats = engine.run();
-  for (NodeId v = 0; v < n; ++v) {
-    auto& mux = static_cast<MultiplexProtocol&>(engine.protocol(v));
+  res.stats = run.stats;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    MultiplexProtocol& mux = run.node(v);
     res.max_queue_depth = std::max(res.max_queue_depth, mux.max_queue_depth());
     if (accessor) accessor(v, mux);
   }

@@ -4,6 +4,7 @@
 #include <deque>
 #include <set>
 
+#include "congest/faults.hpp"
 #include "util/int_math.hpp"
 
 namespace dapsp::congest {
@@ -180,8 +181,7 @@ class ConvergeMaxProtocol final : public Protocol {
         reported_(tree.children[self].size()) {}
 
   void send_phase(Context& ctx) override {
-    if (!sent_ && reports_ == tree_.children[self_].size() &&
-        self_ != tree_.root && tree_.reached(self_)) {
+    if (owes_report()) {
       sent_ = true;
       ctx.send(tree_.parent[self_],
                Message(kConvMax, {best_, static_cast<std::int64_t>(arg_)}));
@@ -204,17 +204,13 @@ class ConvergeMaxProtocol final : public Protocol {
     }
   }
 
-  bool quiescent() const override {
-    // A node still owing its parent a report is waiting on children, not on
-    // its own schedule, so "quiescent" is fine: progress is message-driven.
-    return true;
-  }
+  // A node that owes its parent a report sends it next round; until then
+  // the run must not end, or a report that a late delivery held back is
+  // never sent.
+  bool quiescent() const override { return !owes_report(); }
 
   Round next_send_round(Round now) const override {
-    const bool owes_report = !sent_ && self_ != tree_.root &&
-                             tree_.reached(self_) &&
-                             reports_ == tree_.children[self_].size();
-    return owes_report ? now + 1 : kNeverSends;
+    return owes_report() ? now + 1 : kNeverSends;
   }
 
   bool done() const {
@@ -223,6 +219,11 @@ class ConvergeMaxProtocol final : public Protocol {
   std::pair<std::int64_t, NodeId> best() const { return {best_, arg_}; }
 
  private:
+  bool owes_report() const {
+    return !sent_ && self_ != tree_.root && tree_.reached(self_) &&
+           reports_ == tree_.children[self_].size();
+  }
+
   const BfsTree& tree_;
   NodeId self_;
   std::int64_t best_;
@@ -325,6 +326,16 @@ class GatherProtocol final : public Protocol {
   bool count_sent_ = false;
 };
 
+/// The engine options of one primitive run.  `cap` is the primitive's
+/// round budget under synchronous delivery; a fault plan can deliver late
+/// without losing anything, so under an enabled plan the run ends at
+/// quiescence instead and the primitive's completeness check judges what
+/// arrived.
+EngineOptions run_options(Round cap, const RunEnv& env) {
+  const bool faulty = env.faults != nullptr && env.faults->enabled();
+  return {.max_rounds = faulty ? EngineOptions{}.max_rounds : cap, .env = env};
+}
+
 void accumulate(RunStats* into, const RunStats& phase) {
   if (into != nullptr) *into += phase;
 }
@@ -334,16 +345,10 @@ void accumulate(RunStats* into, const RunStats& phase) {
 BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats,
                        const RunEnv& env) {
   const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<BfsProtocol>(root, v));
-  }
-  EngineOptions opt;
-  opt.env = env;
-  opt.max_rounds = static_cast<Round>(n) + 2;
-  Engine engine(g, std::move(procs), opt);
-  accumulate(stats, engine.run());
+  const auto run = run_nodes(
+      g, run_options(static_cast<Round>(n) + 2, env),
+      [&](NodeId v) { return std::make_unique<BfsProtocol>(root, v); });
+  accumulate(stats, run.stats);
 
   BfsTree tree;
   tree.root = root;
@@ -351,7 +356,7 @@ BfsTree build_bfs_tree(const Graph& g, NodeId root, RunStats* stats,
   tree.depth.resize(n);
   tree.children.resize(n);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const BfsProtocol&>(engine.protocol(v));
+    const BfsProtocol& p = run.node(v);
     tree.parent[v] = p.parent();
     tree.depth[v] = p.joined() ? p.depth() : 0;
     std::vector<NodeId>& kids = tree.children[v];
@@ -370,21 +375,18 @@ std::vector<std::vector<std::int64_t>> broadcast_values(
     const RunEnv& env) {
   const NodeId n = g.node_count();
   if (values.empty()) return std::vector<std::vector<std::int64_t>>(n);
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<BroadcastProtocol>(
-        tree, v, v == tree.root ? &values : nullptr));
-  }
-  EngineOptions opt;
-  opt.env = env;
-  opt.max_rounds = static_cast<Round>(values.size()) + tree.height + 4;
-  Engine engine(g, std::move(procs), opt);
-  accumulate(stats, engine.run());
+  const auto run = run_nodes(
+      g,
+      run_options(static_cast<Round>(values.size()) + tree.height + 4, env),
+      [&](NodeId v) {
+        return std::make_unique<BroadcastProtocol>(
+            tree, v, v == tree.root ? &values : nullptr);
+      });
+  accumulate(stats, run.stats);
 
   std::vector<std::vector<std::int64_t>> out(n);
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const BroadcastProtocol&>(engine.protocol(v));
+    const BroadcastProtocol& p = run.node(v);
     util::check(!tree.reached(v) || p.complete(),
                 "broadcast_values: node missed values");
     out[v] = p.received();
@@ -396,21 +398,15 @@ std::pair<std::int64_t, NodeId> converge_max(
     const Graph& g, const BfsTree& tree,
     const std::vector<std::int64_t>& value_per_node, RunStats* stats,
     const RunEnv& env) {
-  const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(
-        std::make_unique<ConvergeMaxProtocol>(tree, v, value_per_node[v]));
-  }
-  EngineOptions opt;
-  opt.env = env;
-  opt.max_rounds = static_cast<Round>(tree.height) + 4;
-  Engine engine(g, std::move(procs), opt);
-  accumulate(stats, engine.run());
+  const auto run = run_nodes(
+      g, run_options(static_cast<Round>(tree.height) + 4, env),
+      [&](NodeId v) {
+        return std::make_unique<ConvergeMaxProtocol>(tree, v,
+                                                     value_per_node[v]);
+      });
+  accumulate(stats, run.stats);
 
-  const auto& root =
-      static_cast<const ConvergeMaxProtocol&>(engine.protocol(tree.root));
+  const ConvergeMaxProtocol& root = run.node(tree.root);
   util::check(root.done(), "converge_max: root missing child reports");
   return root.best();
 }
@@ -419,22 +415,17 @@ std::vector<GatherItem> gather_to_all(
     const Graph& g, const BfsTree& tree,
     const std::vector<std::vector<GatherItem>>& items_per_node,
     RunStats* stats, const RunEnv& env) {
-  const NodeId n = g.node_count();
   std::size_t total = 0;
   for (const auto& items : items_per_node) total += items.size();
+  const auto run = run_nodes(
+      g,
+      run_options(static_cast<Round>(total) + 2ULL * tree.height + 8, env),
+      [&](NodeId v) {
+        return std::make_unique<GatherProtocol>(tree, v, items_per_node[v]);
+      });
+  accumulate(stats, run.stats);
 
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<GatherProtocol>(tree, v, items_per_node[v]));
-  }
-  EngineOptions opt;
-  opt.env = env;
-  opt.max_rounds = static_cast<Round>(total) + 2ULL * tree.height + 8;
-  Engine engine(g, std::move(procs), opt);
-  accumulate(stats, engine.run());
-
-  auto& root = static_cast<GatherProtocol&>(engine.protocol(tree.root));
+  GatherProtocol& root = run.node(tree.root);
   util::check(root.root_has_all(), "gather_to_all: root missing items");
   std::vector<GatherItem> all = root.take_items();
   std::sort(all.begin(), all.end());

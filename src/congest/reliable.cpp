@@ -222,18 +222,14 @@ ReliableResult run_reliable(
     const Graph& g, const ReliableFactory& make, EngineOptions options,
     ReliableOptions transport_options,
     const std::function<void(NodeId, ReliableTransport&)>& accessor) {
-  const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<ReliableTransport>(g, v, make(v),
-                                                        transport_options));
-  }
-  Engine engine(g, std::move(procs), options);
+  const auto run = run_nodes(g, options, [&](NodeId v) {
+    return std::make_unique<ReliableTransport>(g, v, make(v),
+                                               transport_options);
+  });
   ReliableResult res;
-  res.stats = engine.run();
-  for (NodeId v = 0; v < n; ++v) {
-    auto& rt = static_cast<ReliableTransport&>(engine.protocol(v));
+  res.stats = run.stats;
+  for (NodeId v = 0; v < g.node_count(); ++v) {
+    ReliableTransport& rt = run.node(v);
     res.transport += rt.transport_stats();
     if (accessor) accessor(v, rt);
   }

@@ -11,12 +11,12 @@ namespace dapsp::core {
 
 using congest::BfsTree;
 using congest::Context;
-using congest::Engine;
 using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using congest::RunEnv;
 using congest::RunStats;
 using graph::Graph;
@@ -243,23 +243,13 @@ ScoreMatrix init_scores_sequential(const CsspCollection& cssp) {
 ScoreMatrix init_scores_distributed(const Graph& g, const CsspCollection& cssp,
                                     RunStats* stats, const RunEnv& env) {
   const NodeId n = g.node_count();
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<ScoreInitProtocol>(cssp, v));
-  }
-  EngineOptions opt;
-  opt.max_rounds = cssp.h + cssp.sources.size() + 2;
-  opt.env = env;
-  Engine engine(g, std::move(procs), opt);
-  const RunStats phase = engine.run();
-  if (stats != nullptr) *stats += phase;
+  const auto run = run_nodes(
+      g, {.max_rounds = cssp.h + cssp.sources.size() + 2, .env = env},
+      [&](NodeId v) { return std::make_unique<ScoreInitProtocol>(cssp, v); });
+  if (stats != nullptr) *stats += run.stats;
 
   ScoreMatrix scores(n);
-  for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const ScoreInitProtocol&>(engine.protocol(v));
-    scores[v] = p.counts();
-  }
+  for (NodeId v = 0; v < n; ++v) scores[v] = run.node(v).counts();
   return scores;
 }
 
@@ -297,43 +287,24 @@ BlockerSetResult compute_blocker_set(const Graph& g,
       if (scores[c][i] > 0) entries.emplace_back(i, scores[c][i]);
     }
 
-    const Round phase_rounds = static_cast<Round>(k) + cssp.h + 4;
-    {  // Ancestor updates.
-      std::vector<std::unique_ptr<Protocol>> procs;
-      procs.reserve(n);
-      for (NodeId v = 0; v < n; ++v) {
-        procs.push_back(std::make_unique<AncestorUpdateProtocol>(
-            cssp, v, c, &entries, &scores[v]));
-      }
-      EngineOptions opt;
-      opt.max_rounds = phase_rounds;
-      opt.env = env;
-      Engine engine(g, std::move(procs), opt);
-      const RunStats phase = engine.run();
+    // Ancestor updates, then descendant updates (Algorithm 4), each in
+    // k + h + O(1) rounds.
+    const EngineOptions opt{.max_rounds = k + cssp.h + 4, .env = env};
+    const auto fold_update = [&res](const RunStats& phase) {
       res.update_congestion =
           std::max(res.update_congestion, phase.max_link_congestion);
       res.max_update_phase_rounds =
           std::max(res.max_update_phase_rounds, phase.last_message_round);
       res.stats += phase;
-    }
-    {  // Descendant updates (Algorithm 4).
-      std::vector<std::unique_ptr<Protocol>> procs;
-      procs.reserve(n);
-      for (NodeId v = 0; v < n; ++v) {
-        procs.push_back(std::make_unique<DescendantUpdateProtocol>(
-            cssp, v, c, &entries, &scores[v]));
-      }
-      EngineOptions opt;
-      opt.max_rounds = phase_rounds;
-      opt.env = env;
-      Engine engine(g, std::move(procs), opt);
-      const RunStats phase = engine.run();
-      res.update_congestion =
-          std::max(res.update_congestion, phase.max_link_congestion);
-      res.max_update_phase_rounds =
-          std::max(res.max_update_phase_rounds, phase.last_message_round);
-      res.stats += phase;
-    }
+    };
+    fold_update(run_nodes(g, opt, [&](NodeId v) {
+      return std::make_unique<AncestorUpdateProtocol>(cssp, v, c, &entries,
+                                                      &scores[v]);
+    }).stats);
+    fold_update(run_nodes(g, opt, [&](NodeId v) {
+      return std::make_unique<DescendantUpdateProtocol>(cssp, v, c, &entries,
+                                                        &scores[v]);
+    }).stats);
     // c zeroes its own scores (local step, Algorithm 4 line 1).
     for (std::size_t i = 0; i < k; ++i) scores[c][i] = 0;
   }

@@ -132,19 +132,13 @@ RunStats run_parent_fixup(const Graph& g, BlockerApspResult& res,
   }
   std::vector<std::vector<NodeId>> parents(
       n, std::vector<NodeId>(k, graph::kNoNode));
-  std::vector<std::unique_ptr<congest::Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
+  const congest::EngineOptions opt{.max_rounds = k + n + 2, .env = env};
+  const RunStats stats = congest::run_nodes(g, opt, [&](NodeId v) {
     std::vector<Weight> dist(k);
     for (std::size_t i = 0; i < k; ++i) dist[i] = res.dist[i][v];
-    procs.push_back(std::make_unique<ParentFixupProtocol>(
-        g, v, std::move(dist), source_of[v], &parents[v]));
-  }
-  congest::EngineOptions opt;
-  opt.max_rounds = static_cast<congest::Round>(k) + n + 2;
-  opt.env = env;
-  congest::Engine engine(g, std::move(procs), opt);
-  const RunStats stats = engine.run();
+    return std::make_unique<ParentFixupProtocol>(g, v, std::move(dist),
+                                                 source_of[v], &parents[v]);
+  }).stats;
   for (NodeId v = 0; v < n; ++v) {
     for (std::size_t i = 0; i < k; ++i) {
       if (v == res.sources[i] || res.dist[i][v] == kInfDist) continue;
@@ -178,10 +172,9 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
                   static_cast<std::uint64_t>(
                       std::max<Weight>(g.max_weight(), 1))));
   }
-  if (params.delta2h == 0) {
-    params.delta2h =
-        2 * static_cast<Weight>(params.h) * std::max<Weight>(g.max_weight(), 1);
-  }
+  // Bound on 2h-hop shortest path distances.
+  const Weight delta2h =
+      2 * static_cast<Weight>(params.h) * std::max<Weight>(g.max_weight(), 1);
 
   BlockerApspResult res;
   res.sources = params.sources;
@@ -189,7 +182,7 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
 
   // Step 1: CSSSP (Algorithm 1 with hop bound 2h + child notification).
   CsspCollection cssp =
-      build_cssp(g, params.sources, params.h, params.delta2h, params.env);
+      build_cssp(g, params.sources, params.h, delta2h, params.env);
   res.stats += cssp.stats;
   res.cssp_rounds = cssp.stats.rounds;
 
@@ -285,7 +278,7 @@ BlockerApspResult blocker_apsp(const Graph& g, BlockerApspParams params) {
 
   res.theoretical_bound = bounds::blocker_apsp(
       n, k, std::max<std::uint64_t>(q, 1), params.h,
-      static_cast<std::uint64_t>(params.delta2h));
+      static_cast<std::uint64_t>(delta2h));
   return res;
 }
 

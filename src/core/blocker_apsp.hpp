@@ -31,8 +31,6 @@ struct BlockerApspParams {
   /// When nonzero and h == 0, choose h by Theorem I.3's Delta balance with
   /// this distance bound instead of Theorem I.2's weight balance.
   Weight delta_for_h = 0;
-  /// Bound on 2h-hop shortest path distances; 0 = use 2h * max edge weight.
-  Weight delta2h = 0;
   congest::RunEnv env{};
 };
 

@@ -9,12 +9,12 @@
 namespace dapsp::core {
 
 using congest::Context;
-using congest::Engine;
 using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
@@ -213,9 +213,8 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
   // Step 2: distributed verify-and-confirm of the truncated h-hop trees
   // (Lemma III.4 plus the stale-parent repair described above).
   {
-    std::vector<std::unique_ptr<Protocol>> procs;
-    procs.reserve(n);
-    for (NodeId v = 0; v < n; ++v) {
+    const EngineOptions opt{.max_rounds = 2 * k + h + 4, .env = env};
+    const auto verify = run_nodes(g, opt, [&](NodeId v) {
       TreeVerifyProtocol::NodeData data;
       data.dist.resize(k);
       data.hops.resize(k);
@@ -225,20 +224,16 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
         data.hops[i] = c.hops2h[i][v];
         data.parent[i] = run.parent[i][v];
       }
-      procs.push_back(std::make_unique<TreeVerifyProtocol>(
-          g, c.sources, h, v, std::move(data)));
-    }
-    EngineOptions opt;
-    opt.max_rounds = 2 * k + h + 4;
-    opt.env = env;
-    Engine engine(g, std::move(procs), opt);
-    c.stats += engine.run();
+      return std::make_unique<TreeVerifyProtocol>(g, c.sources, h, v,
+                                                  std::move(data));
+    });
+    c.stats += verify.stats;
 
     c.parent.assign(k, std::vector<NodeId>(n, kNoNode));
     c.depth.assign(k, std::vector<std::uint32_t>(n, 0));
     c.dist.assign(k, std::vector<Weight>(n, kInfDist));
     for (NodeId v = 0; v < n; ++v) {
-      const auto& p = static_cast<const TreeVerifyProtocol&>(engine.protocol(v));
+      const TreeVerifyProtocol& p = verify.node(v);
       for (std::size_t i = 0; i < k; ++i) {
         if (!p.in_tree(i)) continue;
         c.parent[i][v] = v == c.sources[i] ? kNoNode : run.parent[i][v];
@@ -249,23 +244,17 @@ CsspCollection build_cssp(const Graph& g, const std::vector<NodeId>& sources,
   }
 
   // Step 3: child notification (k rounds, one message per node per round).
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
+  const EngineOptions notify_opt{.max_rounds = k + 2, .env = env};
+  const auto notify = run_nodes(g, notify_opt, [&](NodeId v) {
     std::vector<NodeId> parents(k, kNoNode);
     for (std::size_t i = 0; i < k; ++i) parents[i] = c.parent[i][v];
-    procs.push_back(std::make_unique<ChildNotifyProtocol>(v, std::move(parents)));
-  }
-  EngineOptions opt;
-  opt.max_rounds = static_cast<Round>(k) + 2;
-  opt.env = env;
-  Engine engine(g, std::move(procs), opt);
-  c.stats += engine.run();
+    return std::make_unique<ChildNotifyProtocol>(v, std::move(parents));
+  });
+  c.stats += notify.stats;
 
   c.children.assign(k, std::vector<std::vector<NodeId>>(n));
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const ChildNotifyProtocol&>(engine.protocol(v));
-    for (const auto& [tree, child] : p.children()) {
+    for (const auto& [tree, child] : notify.node(v).children()) {
       c.children[tree][v].push_back(child);
     }
   }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 #include <optional>
 #include <span>
 
@@ -11,12 +12,12 @@
 namespace dapsp::core {
 
 using congest::Context;
-using congest::Engine;
 using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
@@ -451,28 +452,23 @@ KsspResult pipelined_kssp(const Graph& g, PipelinedParams params) {
   const std::uint64_t bound = bounds::hk_ssp_custom_gamma(
       params.h, k, static_cast<std::uint64_t>(params.delta), params.gamma);
 
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<PipelinedProtocol>(cfg, v));
-  }
-  EngineOptions opt;
-  opt.max_rounds = static_cast<Round>(
-      static_cast<double>(bound) * std::max(1.0, params.round_budget_factor));
-  opt.scramble_inbox = params.scramble_inbox;
-  opt.record_per_round = params.record_per_round;
-  opt.env = params.env;
-  Engine engine(g, std::move(procs), opt);
+  const EngineOptions opt{.max_rounds = bound,
+                          .record_per_round = params.record_per_round,
+                          .scramble_inbox = params.scramble_inbox,
+                          .env = params.env};
+  const auto run = run_nodes(g, opt, [&](NodeId v) {
+    return std::make_unique<PipelinedProtocol>(cfg, v);
+  });
 
   KsspResult res;
-  res.stats = engine.run();
+  res.stats = run.stats;
   res.sources = cfg.sources;
   res.theoretical_bound = bound;
   res.dist.assign(k, std::vector<Weight>(n, kInfDist));
   res.hops.assign(k, std::vector<std::uint32_t>(n, 0));
   res.parent.assign(k, std::vector<NodeId>(n, kNoNode));
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const PipelinedProtocol&>(engine.protocol(v));
+    const PipelinedProtocol& p = run.node(v);
     for (std::size_t i = 0; i < k; ++i) {
       res.dist[i][v] = p.best_d()[i];
       res.hops[i][v] = p.best_l()[i];
@@ -492,13 +488,9 @@ KsspResult pipelined_kssp(const Graph& g, PipelinedParams params) {
 
 KsspResult pipelined_apsp(const Graph& g, Weight delta,
                           const congest::RunEnv& env) {
-  PipelinedParams params;
-  params.sources.resize(g.node_count());
-  for (NodeId v = 0; v < g.node_count(); ++v) params.sources[v] = v;
-  params.h = g.node_count() > 1 ? g.node_count() - 1 : 1;
-  params.delta = delta;
-  params.env = env;
-  return pipelined_kssp(g, std::move(params));
+  std::vector<NodeId> all(g.node_count());
+  std::iota(all.begin(), all.end(), NodeId{0});
+  return pipelined_kssp_full(g, std::move(all), delta, env);
 }
 
 KsspResult pipelined_kssp_full(const Graph& g, std::vector<NodeId> sources,

@@ -39,9 +39,6 @@ struct PipelinedParams {
   /// Key schedule; defaults to the paper's gamma at `finalize()`.
   GammaSq gamma{0, 0};
   ListPolicy policy = ListPolicy::kDominance;
-  /// Extra safety factor on the engine's round budget (tests use 1 to assert
-  /// the theory bound is respected).
-  double round_budget_factor = 1.0;
   /// Deterministically permute message arrival order within each round (the
   /// CONGEST model promises delivery, not order); distances must not change.
   bool scramble_inbox = false;

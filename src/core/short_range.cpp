@@ -9,12 +9,11 @@
 namespace dapsp::core {
 
 using congest::Context;
-using congest::Engine;
-using congest::EngineOptions;
 using congest::Envelope;
 using congest::Message;
 using congest::Protocol;
 using congest::Round;
+using congest::run_nodes;
 using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
@@ -205,24 +204,16 @@ ShortRangeResult short_range(const Graph& g, ShortRangeParams params) {
           : util::ceil_mul_sqrt(params.h, params.gamma.den, params.gamma.num) +
                 1;
 
-  std::vector<std::unique_ptr<Protocol>> procs;
-  procs.reserve(n);
-  for (NodeId v = 0; v < n; ++v) {
-    procs.push_back(std::make_unique<ShortRangeProtocol>(cfg, v));
-  }
-  EngineOptions opt;
-  opt.max_rounds = static_cast<Round>(
-      static_cast<double>(res.dilation_bound) *
-      std::max(1.0, params.round_budget_factor));
-  opt.env = params.env;
-  Engine engine(g, std::move(procs), opt);
-  res.stats = engine.run();
+  const auto run = run_nodes(
+      g, {.max_rounds = res.dilation_bound, .env = params.env},
+      [&](NodeId v) { return std::make_unique<ShortRangeProtocol>(cfg, v); });
+  res.stats = run.stats;
 
   res.dist.assign(k, std::vector<Weight>(n, kInfDist));
   res.hops.assign(k, std::vector<std::uint32_t>(n, 0));
   res.parent.assign(k, std::vector<NodeId>(n, kNoNode));
   for (NodeId v = 0; v < n; ++v) {
-    const auto& p = static_cast<const ShortRangeProtocol&>(engine.protocol(v));
+    const ShortRangeProtocol& p = run.node(v);
     for (std::size_t i = 0; i < k; ++i) {
       res.dist[i][v] = p.dist()[i];
       res.hops[i][v] = p.hops()[i];

@@ -34,7 +34,6 @@ struct ShortRangeParams {
   /// from sources[i] at node v (kInfDist = unknown).  Empty means the plain
   /// short-range initialization (0 at the source only).
   std::vector<std::vector<Weight>> initial;
-  double round_budget_factor = 1.0;
   congest::RunEnv env{};
 
   void finalize(const graph::Graph& g);

@@ -6,9 +6,11 @@
 #include <atomic>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <sstream>
 #include <stdexcept>
 
+#include "baseline/bf_apsp.hpp"
 #include "congest/faults.hpp"
 #include "core/approx_apsp.hpp"
 #include "core/blocker_apsp.hpp"
@@ -26,26 +28,29 @@ using graph::Graph;
 using graph::kInfDist;
 using graph::kNoNode;
 
+namespace {
+
+/// Indexed by Solver.
+constexpr const char* kSolverNames[] = {"pipelined", "blocker",   "scaled",
+                                        "approx",    "reference", "bf"};
+static_assert(std::size(kSolverNames) ==
+              static_cast<std::size_t>(Solver::kBellmanFord) + 1);
+
+}  // namespace
+
 const char* solver_name(Solver s) {
-  switch (s) {
-    case Solver::kPipelined: return "pipelined";
-    case Solver::kBlocker: return "blocker";
-    case Solver::kScaled: return "scaled";
-    case Solver::kApprox: return "approx";
-    case Solver::kReference: return "reference";
-  }
-  return "?";
+  return kSolverNames[static_cast<std::size_t>(s)];
 }
 
-Solver parse_solver(const std::string& word) {
-  if (word == "pipelined") return Solver::kPipelined;
-  if (word == "blocker") return Solver::kBlocker;
-  if (word == "scaled") return Solver::kScaled;
-  if (word == "approx") return Solver::kApprox;
-  if (word == "reference") return Solver::kReference;
-  throw std::invalid_argument(
-      "unknown solver '" + word +
-      "' (pipelined|blocker|scaled|approx|reference)");
+std::optional<Solver> parse_solver(std::string_view word) {
+  for (std::size_t i = 0; i < std::size(kSolverNames); ++i) {
+    if (word == kSolverNames[i]) return static_cast<Solver>(i);
+  }
+  return std::nullopt;
+}
+
+bool solver_takes_sources(Solver s) {
+  return s == Solver::kPipelined || s == Solver::kBlocker;
 }
 
 void* map_table_pages(std::size_t bytes) {
@@ -184,35 +189,6 @@ Table<NodeId> next_hops_from_distances(
   return next;
 }
 
-/// A solver's closure before it becomes an oracle: the two row-major tables
-/// plus provenance.
-struct Tables {
-  Table<Weight> dist;
-  Table<NodeId> next;  // empty for a distance-only closure
-  OracleMeta meta;
-};
-
-/// Tables of a run that reports dist[s][v] and, unless `parent` is empty,
-/// parent[s][v]; n rows of n entries each.
-Tables tables_from_parents(const std::vector<std::vector<Weight>>& dist,
-                           const std::vector<std::vector<NodeId>>& parent,
-                           OracleMeta meta) {
-  util::check(!dist.empty(), "make_oracle: empty distance matrix");
-  const NodeId n = static_cast<NodeId>(dist.size());
-  check_square(dist, n, "make_oracle: distance matrix not square");
-  Tables t{flatten(dist), {}, std::move(meta)};
-  if (parent.empty()) return t;
-  check_square(parent, n, "make_oracle: parent matrix shape mismatch");
-  t.next.assign(static_cast<std::size_t>(n) * n, kNoNode);
-  std::vector<NodeId> stack;
-  for (NodeId s = 0; s < n; ++s) {
-    fill_next_hops_from_parents(s, n, dist[s], parent[s],
-                                t.next.data() + static_cast<std::size_t>(s) * n,
-                                stack);
-  }
-  return t;
-}
-
 /// The reference rows: seq::dijkstra_row for every source, written into
 /// row s of both n x n tables, on the pool `env` names.  One task per pool
 /// thread, each with its own workspace, claims one source at a time from a
@@ -240,7 +216,7 @@ void fill_reference_rows(const Graph& g, const congest::RunEnv& env,
 /// real graph connects -- silently serving kInfDist for them would be a
 /// wrong answer wearing an honest face.  Compare the table's infinite
 /// entries against plain BFS reachability on g and fail loudly on mismatch.
-void check_fault_partition(const Graph& g, const Table<Weight>& dist,
+void check_fault_partition(const Graph& g, const DistanceOracle& o,
                            const congest::FaultPlan* plan) {
   if (plan == nullptr || !plan->enabled()) return;
   const NodeId n = g.node_count();
@@ -259,7 +235,7 @@ void check_fault_partition(const Graph& g, const Table<Weight>& dist,
       }
     }
     for (NodeId v = 0; v < n; ++v) {
-      if (seen[v] && dist[static_cast<std::size_t>(s) * n + v] == kInfDist) {
+      if (seen[v] && o.dist(s, v) == kInfDist) {
         throw std::runtime_error(
             "build_oracle: fault plan \"" + plan->spec() +
             "\" partitioned the run: " + std::to_string(v) +
@@ -271,66 +247,66 @@ void check_fault_partition(const Graph& g, const Table<Weight>& dist,
   }
 }
 
-Tables solve(const Graph& g, const OracleBuildOptions& opts,
-             const congest::RunEnv& env);
-
 }  // namespace
 
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
-                           OracleMeta meta) {
-  Tables t = tables_from_parents(dist, parent, std::move(meta));
-  return DistanceOracle(static_cast<NodeId>(dist.size()), std::move(t.dist),
-                        std::move(t.next), std::move(t.meta));
+                           OracleMeta meta, std::size_t shards) {
+  util::check(!dist.empty(), "make_oracle: empty distance matrix");
+  const NodeId n = static_cast<NodeId>(dist.size());
+  check_square(dist, n, "make_oracle: distance matrix not square");
+  Table<NodeId> next;
+  if (!parent.empty()) {
+    check_square(parent, n, "make_oracle: parent matrix shape mismatch");
+    next.assign(static_cast<std::size_t>(n) * n, kNoNode);
+    std::vector<NodeId> stack;
+    for (NodeId s = 0; s < n; ++s) {
+      fill_next_hops_from_parents(
+          s, n, dist[s], parent[s],
+          next.data() + static_cast<std::size_t>(s) * n, stack);
+    }
+  }
+  return DistanceOracle(n, flatten(dist), std::move(next), std::move(meta),
+                        shards);
 }
 
-DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
-                            std::size_t shards) {
-  util::check(g.node_count() > 0, "build_oracle: empty graph");
-  // kReference never touches the engine: no fault plan can have bent it,
-  // and there is no round structure for the profiler to observe.
-  const bool engine_run = opts.solver != Solver::kReference;
-  // A profiled build records into a local recorder unless the caller's
-  // recorder owns the observation (its own export carries the analysis).
-  congest::RunEnv env = opts.env;
-  std::unique_ptr<obs::TraceRecorder> profile;
-  if (opts.critpath && engine_run && env.recorder == nullptr) {
-    obs::TraceRecorder::Options ropt;
-    ropt.work_item_capacity = std::size_t{1} << 20;
-    profile = std::make_unique<obs::TraceRecorder>(ropt);
-    env.recorder = profile.get();
-  }
-  Tables t = solve(g, opts, env);
-  if (engine_run) check_fault_partition(g, t.dist, env.faults);
-  if (profile) {
-    t.meta.critpath = obs::summarize(obs::analyze_critical_path(*profile));
-  }
-  return DistanceOracle(g.node_count(), std::move(t.dist), std::move(t.next),
-                        std::move(t.meta), shards);
-}
-
-namespace {
-
-Tables solve(const Graph& g, const OracleBuildOptions& opts,
-             const congest::RunEnv& env) {
+SolverRun run_solver(const Graph& g, const OracleBuildOptions& opts,
+                     std::vector<NodeId> sources) {
   const NodeId n = g.node_count();
+  const bool subset = !sources.empty();
+  if (subset && !solver_takes_sources(opts.solver)) {
+    throw std::invalid_argument(std::string("run_solver: ") +
+                                solver_name(opts.solver) +
+                                " runs from every node; only pipelined and "
+                                "blocker take sources");
+  }
+  const congest::RunEnv& env = opts.env;
+  SolverRun r;
   switch (opts.solver) {
     case Solver::kPipelined: {
       const Weight delta = graph::max_finite_distance(g);
-      auto res = core::pipelined_apsp(g, delta, env);
-      return tables_from_parents(
-          res.dist, res.parent,
-          {"pipelined APSP (Algorithm 1, Thm I.1 ii)", true, res.stats, {}});
+      auto res = subset ? core::pipelined_kssp_full(g, std::move(sources),
+                                                    delta, env)
+                        : core::pipelined_apsp(g, delta, env);
+      r = {std::move(res.sources), std::move(res.dist),
+           std::move(res.parent), {},
+           {subset ? "pipelined k-SSP (Algorithm 1, Thm I.1 iii)"
+                   : "pipelined APSP (Algorithm 1, Thm I.1 ii)",
+            true, res.stats, {}, res.theoretical_bound}};
+      break;
     }
     case Solver::kBlocker: {
       core::BlockerApspParams p;
+      p.sources = std::move(sources);
       p.h = opts.h;
       p.env = env;
       auto res = core::blocker_apsp(g, p);
-      return tables_from_parents(res.dist, res.parent,
-                                 {"blocker APSP (Algorithm 3, h=" +
-                                      std::to_string(res.h) + ")",
-                                  true, res.stats, {}});
+      r = {std::move(res.sources), std::move(res.dist),
+           std::move(res.parent), {},
+           {std::string(subset ? "blocker k-SSP" : "blocker APSP") +
+                " (Algorithm 3, h=" + std::to_string(res.h) + ")",
+            true, res.stats, {}, res.theoretical_bound}};
+      break;
     }
     case Solver::kScaled: {
       core::ScaledApspParams p;
@@ -338,9 +314,10 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts,
       p.delta = graph::max_finite_distance(g);
       p.env = env;
       auto res = core::scaled_hhop_apsp(g, p);
-      Table<NodeId> next = next_hops_from_distances(g, res.dist, res.hops);
-      return {flatten(res.dist), std::move(next),
-              {"scaled per-source APSP (Sec. II-C)", true, res.stats, {}}};
+      r = {{}, std::move(res.dist), {}, std::move(res.hops),
+           {"scaled per-source APSP (Sec. II-C)", true, res.stats, {},
+            res.theoretical_bound}};
+      break;
     }
     case Solver::kApprox: {
       core::ApproxApspParams p;
@@ -350,20 +327,66 @@ Tables solve(const Graph& g, const OracleBuildOptions& opts,
       std::ostringstream label;
       label << "approx APSP (Thm I.5, eps=" << opts.eps << ", " << res.scales
             << " scales); distance-only";
-      return tables_from_parents(res.dist, {},
-                                 {label.str(), false, res.stats, {}});
+      r = {{}, std::move(res.dist), {}, {},
+           {label.str(), false, res.stats, {}, res.implementation_bound}};
+      break;
     }
-    case Solver::kReference: {
-      const std::size_t cells = static_cast<std::size_t>(n) * n;
-      Tables t{Table<Weight>(cells), Table<NodeId>(cells),
-               {kReferenceLabel, true, {}, {}}};
-      fill_reference_rows(g, env, t.dist, t.next);
-      return t;
+    case Solver::kReference:
+      throw std::invalid_argument(
+          "run_solver: reference runs no CONGEST solver; build_oracle fills "
+          "its rows");
+    case Solver::kBellmanFord: {
+      auto res = baseline::bf_apsp(g, env);
+      // n phases of at most n + 2 rounds each.
+      r = {{}, std::move(res.dist), std::move(res.parent), {},
+           {"bf APSP (Bellman-Ford baseline, n sequential SSSPs)", true,
+            res.stats, {}, static_cast<std::uint64_t>(n) * (n + 2ULL)}};
+      break;
     }
   }
-  throw std::logic_error("build_oracle: unhandled solver");
+  if (r.sources.empty()) {
+    r.sources.resize(n);
+    std::iota(r.sources.begin(), r.sources.end(), NodeId{0});
+  }
+  return r;
 }
 
-}  // namespace
+DistanceOracle build_oracle(const Graph& g, const OracleBuildOptions& opts,
+                            std::size_t shards) {
+  const NodeId n = g.node_count();
+  util::check(n > 0, "build_oracle: empty graph");
+  if (opts.solver == Solver::kReference) {
+    // No engine: no fault plan can have bent the rows, and there is no
+    // round structure for the profiler to observe.
+    const std::size_t cells = static_cast<std::size_t>(n) * n;
+    Table<Weight> dist(cells);
+    Table<NodeId> next(cells);
+    fill_reference_rows(g, opts.env, dist, next);
+    return DistanceOracle(n, std::move(dist), std::move(next),
+                          {kReferenceLabel, true, {}, {}}, shards);
+  }
+  // A profiled build records into a local recorder unless the caller's
+  // recorder owns the observation (its own export carries the analysis).
+  OracleBuildOptions run_opts = opts;
+  std::unique_ptr<obs::TraceRecorder> profile;
+  if (opts.critpath && opts.env.recorder == nullptr) {
+    obs::TraceRecorder::Options ropt;
+    ropt.work_item_capacity = std::size_t{1} << 20;
+    profile = std::make_unique<obs::TraceRecorder>(ropt);
+    run_opts.env.recorder = profile.get();
+  }
+  SolverRun run = run_solver(g, run_opts);
+  if (profile) {
+    run.meta.critpath = obs::summarize(obs::analyze_critical_path(*profile));
+  }
+  DistanceOracle o =
+      run.hops.empty()
+          ? make_oracle(run.dist, run.parent, std::move(run.meta), shards)
+          : DistanceOracle(n, flatten(run.dist),
+                           next_hops_from_distances(g, run.dist, run.hops),
+                           std::move(run.meta), shards);
+  check_fault_partition(g, o, opts.env.faults);
+  return o;
+}
 
 }  // namespace dapsp::service

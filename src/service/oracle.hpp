@@ -12,9 +12,11 @@
 #pragma once
 
 #include <cstdint>
+#include <new>
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "congest/engine.hpp"
@@ -27,22 +29,31 @@ namespace dapsp::service {
 using graph::NodeId;
 using graph::Weight;
 
-/// Which algorithm the enum-dispatched factory runs to populate the oracle.
+/// The solvers of the library, one vocabulary for every tool: run_solver
+/// holds the one switch over them.
 enum class Solver {
-  kPipelined,  ///< Algorithm 1 APSP (Thm I.1 ii)
-  kBlocker,    ///< Algorithm 3 APSP (Thm I.2/I.3)
+  kPipelined,  ///< Algorithm 1 APSP (Thm I.1 ii), k-SSP (Thm I.1 iii)
+  kBlocker,    ///< Algorithm 3 APSP / k-SSP (Thm I.2/I.3)
   kScaled,     ///< multiplexed per-source Algorithm 2 (Sec. II-C)
   kApprox,     ///< (1+eps)-approx APSP (Thm I.5); distance-only oracle
   kReference,  ///< Dijkstra from every source -- not a CONGEST run; the
                ///< fast local builder for serving large graphs and for
                ///< tests (see build_oracle)
+  kBellmanFord,  ///< n sequential Bellman-Ford SSSPs, the O(n^2)-round
+                 ///< baseline of Table I
 };
 
+/// The solver's word: "pipelined", "blocker", "scaled", "approx",
+/// "reference" or "bf".
 const char* solver_name(Solver s);
 
-/// Parses "pipelined"/"blocker"/"scaled"/"approx"/"reference"; throws
-/// std::invalid_argument otherwise.
-Solver parse_solver(const std::string& word);
+/// The solver named `word` (solver_name's inverse); nullopt for any other
+/// word.
+std::optional<Solver> parse_solver(std::string_view word);
+
+/// True for the solvers that run from a subset of sources (k-SSP):
+/// kPipelined and kBlocker.  The others run from every node.
+bool solver_takes_sources(Solver s);
 
 struct OracleBuildOptions {
   Solver solver = Solver::kPipelined;
@@ -68,6 +79,8 @@ struct OracleMeta {
   /// Critical-path summary of the producing build; empty() unless the
   /// build ran with OracleBuildOptions::critpath.
   obs::CritPathSummary critpath;
+  /// The solver's round bound for this run (0 for kReference).
+  std::uint64_t bound = 0;
 };
 
 /// Pages for one closure table, mapped from the OS (std::bad_alloc when it
@@ -92,6 +105,13 @@ struct TableAllocator {
   }
   void deallocate(T* p, std::size_t count) noexcept {
     unmap_table_pages(p, count * sizeof(T));
+  }
+  /// Table<T>(cells) default-initializes: the mapped pages are zero
+  /// already, and the builder that sizes a table this way overwrites every
+  /// cell, so a value-initializing pass would only write zeros over zeros.
+  template <typename U>
+  void construct(U* p) noexcept {
+    ::new (static_cast<void*>(p)) U;
   }
   friend bool operator==(TableAllocator, TableAllocator) noexcept {
     return true;
@@ -206,19 +226,43 @@ class DistanceOracle {
 /// Flattens a full APSP result (dist[s][v] with sources 0..n-1 in order)
 /// into an oracle.  `parent` (parent[s][v] = predecessor of v on the s-path)
 /// supplies the next-hop table; pass an empty vector for a distance-only
-/// oracle.  Throws std::logic_error on non-square input (every row of
-/// both matrices is checked) or parent chains that do not reach their
-/// source (corrupt run).
+/// oracle, reported as `shards` row ranges.  Throws std::logic_error on
+/// non-square input (every row of both matrices is checked) or parent
+/// chains that do not reach their source (corrupt run).
 DistanceOracle make_oracle(const std::vector<std::vector<Weight>>& dist,
                            const std::vector<std::vector<NodeId>>& parent,
-                           OracleMeta meta);
+                           OracleMeta meta, std::size_t shards = 1);
 
 /// Solver label of every kReference closure.
 inline constexpr char kReferenceLabel[] = "reference (Dijkstra sweep)";
 
+/// One solver run's rows: row i holds the distances from sources[i].
+struct SolverRun {
+  std::vector<NodeId> sources;
+  std::vector<std::vector<Weight>> dist;  ///< dist[i][v]
+  /// parent[i][v]: v's predecessor on a shortest path from sources[i];
+  /// empty when the solver reports none (kScaled, kApprox).
+  std::vector<std::vector<NodeId>> parent;
+  /// hops[i][v]: the edge count of that path; kScaled only, whose next hops
+  /// are derived from distances and hops.
+  std::vector<std::vector<std::uint32_t>> hops;
+  OracleMeta meta;  ///< label (starting with the solver's word), stats, bound
+};
+
+/// The one solver switch: runs `opts.solver` on g with opts.h, opts.eps and
+/// opts.env, from `sources` (empty = every node, in id order), and returns
+/// its rows as computed -- under a fault plan that is whatever the faulted
+/// run produced; build_oracle adds the checks.  A non-empty `sources` with
+/// a solver that does not take one (solver_takes_sources), and kReference,
+/// which runs no CONGEST solver (build_oracle fills its rows directly),
+/// throw std::invalid_argument.
+SolverRun run_solver(const graph::Graph& g, const OracleBuildOptions& opts,
+                     std::vector<NodeId> sources = {});
+
 /// The one builder: runs the chosen solver on g and writes its rows once
 /// into the oracle's table, reported as `shards` row ranges (clamped to
-/// [1, n]).  kReference runs seq::dijkstra_row for every source on the pool
+/// [1, n]).  Every solver but kReference runs through run_solver.
+/// kReference runs seq::dijkstra_row for every source on the pool
 /// of `opts.env` (util::run_pool: 0 threads = the process-global pool): one
 /// task per pool thread, each with its own workspace, takes the next source
 /// from a shared cursor and writes that row in place.  Its rows are

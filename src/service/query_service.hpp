@@ -81,7 +81,8 @@ inline constexpr std::uint32_t kMaxAvoid = 4096;
 inline constexpr std::uint32_t kMaxHops = 4096;
 
 struct QueryServiceConfig {
-  /// Worker threads for query_batch; 0 = hardware concurrency.
+  /// Worker threads for query_batch; 0 = one per CPU in the process's
+  /// affinity mask (util::ThreadPool(0)).
   std::size_t threads = 0;
   /// Total reconstructed paths kept across all cache shards; 0 disables the
   /// cache entirely (every path query reconstructs).

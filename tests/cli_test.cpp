@@ -50,7 +50,7 @@ TEST(CliOptions, ParsesFullCommandLine) {
   EXPECT_DOUBLE_EQ(o.zero_fraction, 0.3);
   EXPECT_EQ(o.seed, 7u);
   EXPECT_TRUE(o.directed);
-  EXPECT_EQ(o.algo, Algo::kBlocker);
+  EXPECT_EQ(o.solver, service::Solver::kBlocker);
   EXPECT_EQ(o.h, 4u);
   EXPECT_EQ(o.format, Format::kJson);
   EXPECT_TRUE(o.quiet);
@@ -205,9 +205,9 @@ TEST(CliCommands, CsvOutputRowsMatchOracle) {
 }
 
 TEST(CliCommands, AllAlgosAgreeThroughCli) {
-  std::array<std::string, 3> outs;
+  std::array<std::string, 4> outs;
   int idx = 0;
-  for (const char* algo : {"pipelined", "blocker", "bf"}) {
+  for (const char* algo : {"pipelined", "blocker", "bf", "scaled"}) {
     const Options o = parse({"apsp", "--n", "10", "--p", "0.3", "--seed", "9",
                              "--algo", algo});
     std::ostringstream out, err;
@@ -219,6 +219,62 @@ TEST(CliCommands, AllAlgosAgreeThroughCli) {
   }
   EXPECT_EQ(outs[0], outs[1]);
   EXPECT_EQ(outs[0], outs[2]);
+  EXPECT_EQ(outs[0], outs[3]);
+}
+
+TEST(CliCommands, EverySolverWordReachesItsSolverOrFailsAtParse) {
+  // Every command that runs a solver runs the one --solver names, and its
+  // label says so; a combination it cannot run fails when the options are
+  // parsed.  --sources takes pipelined and blocker only, and reference runs
+  // no CONGEST solver.
+  struct Invocation {
+    std::vector<const char*> words;
+    bool sources;
+  };
+  const Invocation commands[] = {{{"apsp"}, false},
+                              {{"kssp", "--sources", "0,2"}, true},
+                              {{"approx"}, false},
+                              {{"profile", "--sources", "0,2"}, true}};
+  for (const Invocation& c : commands) {
+    for (const char* solver :
+         {"pipelined", "blocker", "scaled", "approx", "reference", "bf"}) {
+      std::vector<std::string> args(c.words.begin(), c.words.end());
+      for (const char* w : {"--gen", "path", "--n", "8", "--seed", "3",
+                            "--quiet", "--format", "json", "--solver"}) {
+        args.emplace_back(w);
+      }
+      args.emplace_back(solver);
+      const std::string word = solver;
+      const std::string cmd = args[0] + " --solver " + word;
+      const bool runs = word != "reference" &&
+                        (!c.sources || word == "pipelined" ||
+                         word == "blocker");
+      if (!runs) {
+        EXPECT_THROW(parse_options(args), std::invalid_argument) << cmd;
+        continue;
+      }
+      std::ostringstream out, err;
+      ASSERT_EQ(run_command(parse_options(args), out, err), 0)
+          << cmd << ": " << err.str();
+      const std::string key = args[0] == "profile" ? "target" : "algorithm";
+      EXPECT_NE(out.str().find("\"" + key + "\":\"" + word), std::string::npos)
+          << cmd << ": " << out.str().substr(0, 120);
+    }
+  }
+  // The two spellings are one flag.
+  EXPECT_EQ(parse({"apsp", "--algo", "scaled"}).solver,
+            parse({"apsp", "--solver", "scaled"}).solver);
+  for (const auto& words :
+       {std::vector<const char*>{"kssp", "--solver", "scaled", "--sources",
+                                 "0"},
+        std::vector<const char*>{"apsp", "--solver", "reference"},
+        std::vector<const char*>{"approx", "--sources", "0"},
+        std::vector<const char*>{"serve", "--sources", "0"},
+        std::vector<const char*>{"serve", "--solver", "magic"}}) {
+    EXPECT_THROW(parse_options({words.begin(), words.end()}),
+                 std::invalid_argument)
+        << words[0] << " " << words[1] << " " << words[2];
+  }
 }
 
 TEST(CliCommands, GenRoundTripsThroughFile) {

@@ -463,35 +463,43 @@ TEST(FaultBehavior, DuplicationIsHarmlessForMonotoneProtocols) {
   EXPECT_EQ(bf_dists(e), seq::dijkstra(g, 0).dist);
 }
 
-TEST(FaultBehavior, TreePrimitivesTakeEachDuplicateOnce) {
-  // A duplicated join, value, report or item must count once: under each
-  // duplicating plan every primitive returns its faultless answer.  Before
-  // the primitives ignored repeats, the BFS tree listed a child twice and
-  // the convergecast waited for reports that never came.  Under bw=1 the
-  // duplicates queue behind the values, and gather_to_all's closing
-  // broadcast (3 values an item, 26 items here) outruns its synchronous
-  // round budget, as delays do; that budget is still open, so the gather
-  // runs under the two plans without a bandwidth cap.
-  const Graph graphs[] = {graph::grid(4, 4, {1, 5, 0.2}, 704),
-                          graph::erdos_renyi(24, 0.2, {0, 5, 0.2}, 705)};
-  const std::vector<std::int64_t> bcast = {5, -1, 9, 0, 7, 3};
-  for (const Graph& g : graphs) {
-    const NodeId n = g.node_count();
-    std::vector<std::int64_t> values(n);
-    std::vector<std::vector<GatherItem>> items(n);
-    for (NodeId v = 0; v < n; ++v) {
+/// Inputs of the four tree primitives on one graph: a broadcast list, a
+/// value per node and 0-2 gather items per node.
+struct TreeInputs {
+  explicit TreeInputs(const Graph& g)
+      : values(g.node_count()), items(g.node_count()) {
+    for (NodeId v = 0; v < g.node_count(); ++v) {
       values[v] = (v * 37) % 11;
       for (std::int64_t j = 0; j < v % 3; ++j) {
         items[v].push_back({v, j, static_cast<std::int64_t>(v) * 10 + j});
       }
     }
+  }
+  std::vector<std::int64_t> bcast = {5, -1, 9, 0, 7, 3};
+  std::vector<std::int64_t> values;
+  std::vector<std::vector<GatherItem>> items;
+};
+
+const Graph kTreeGraphs[] = {graph::grid(4, 4, {1, 5, 0.2}, 704),
+                             graph::erdos_renyi(24, 0.2, {0, 5, 0.2}, 705)};
+
+TEST(FaultBehavior, TreePrimitivesTakeEachDuplicateOnce) {
+  // A duplicated join, value, report or item must count once: under each
+  // duplicating plan every primitive returns its faultless answer.  Before
+  // the primitives ignored repeats, the BFS tree listed a child twice and
+  // the convergecast waited for reports that never came.  Under bw=1 the
+  // duplicates queue behind the values, so the gather's closing broadcast
+  // (3 values an item, 26 items on the grid) arrives late.
+  for (const Graph& g : kTreeGraphs) {
+    const TreeInputs in(g);
     const BfsTree tree0 = build_bfs_tree(g, 0);
-    const auto copies0 = broadcast_values(g, tree0, bcast);
-    const auto max0 = converge_max(g, tree0, values);
-    const auto items0 = gather_to_all(g, tree0, items);
+    const auto copies0 = broadcast_values(g, tree0, in.bcast);
+    const auto max0 = converge_max(g, tree0, in.values);
+    const auto items0 = gather_to_all(g, tree0, in.items);
     for (const char* spec :
          {"dup=0.5,seed=6", "dup=0.3,seed=5", "bw=1,dup=0.5,seed=6"}) {
-      SCOPED_TRACE(std::string(spec) + " n=" + std::to_string(n));
+      SCOPED_TRACE(std::string(spec) + " n=" +
+                   std::to_string(g.node_count()));
       const FaultPlan plan = FaultPlan::parse(spec);
       RunEnv env;
       env.faults = &plan;
@@ -500,30 +508,61 @@ TEST(FaultBehavior, TreePrimitivesTakeEachDuplicateOnce) {
       EXPECT_EQ(tree.parent, tree0.parent);
       EXPECT_EQ(tree.children, tree0.children);
       EXPECT_EQ(tree.height, tree0.height);
-      EXPECT_EQ(broadcast_values(g, tree, bcast, &stats, env), copies0);
-      EXPECT_EQ(converge_max(g, tree, values, &stats, env), max0);
-      if (plan.link_bandwidth == 0) {
-        EXPECT_EQ(gather_to_all(g, tree, items, &stats, env), items0);
-      }
+      EXPECT_EQ(broadcast_values(g, tree, in.bcast, &stats, env), copies0);
+      EXPECT_EQ(converge_max(g, tree, in.values, &stats, env), max0);
+      EXPECT_EQ(gather_to_all(g, tree, in.items, &stats, env), items0);
       EXPECT_GT(stats.faults.duplicated, 0u);
+    }
+  }
+}
+
+TEST(FaultBehavior, TreePrimitivesSurviveLateDelivery) {
+  // A delay loses nothing, so every primitive still returns its faultless
+  // answer; it only arrives after the synchronous round budget.  Under a
+  // fault plan the primitives run to quiescence instead, and a node that
+  // owes its parent a convergecast report is not quiescent, or a report
+  // held back by a delay would never be sent.
+  for (const Graph& g : kTreeGraphs) {
+    const TreeInputs in(g);
+    const BfsTree tree0 = build_bfs_tree(g, 0);
+    const auto copies0 = broadcast_values(g, tree0, in.bcast);
+    const auto max0 = converge_max(g, tree0, in.values);
+    const auto items0 = gather_to_all(g, tree0, in.items);
+    for (const char* spec : {"delay=0.3:2,seed=6", "delay=0.5:4,seed=13"}) {
+      SCOPED_TRACE(std::string(spec) + " n=" +
+                   std::to_string(g.node_count()));
+      const FaultPlan plan = FaultPlan::parse(spec);
+      RunEnv env;
+      env.faults = &plan;
+      RunStats stats;
+      // A late token may adopt another parent: the tree must still span g.
+      const BfsTree tree = build_bfs_tree(g, 0, &stats, env);
+      for (NodeId v = 0; v < g.node_count(); ++v) {
+        EXPECT_TRUE(tree.reached(v)) << v;
+      }
+      EXPECT_EQ(broadcast_values(g, tree0, in.bcast, &stats, env), copies0);
+      EXPECT_EQ(converge_max(g, tree0, in.values, &stats, env), max0);
+      EXPECT_EQ(gather_to_all(g, tree0, in.items, &stats, env), items0);
+      EXPECT_GT(stats.faults.delayed, 0u);
     }
   }
 }
 
 TEST(FaultBehavior, BlockerApspExactUnderDuplication) {
   // Algorithm 3 runs all four primitives: its distances under each
-  // duplicating plan are the faultless ones.
+  // duplicating or delaying plan are the faultless ones.
   const Graph g = graph::grid(4, 4, {0, 8, 0.0}, 2);
   const core::BlockerApspResult want = core::blocker_apsp(g, {});
   for (const char* spec :
-       {"dup=0.5,seed=6", "dup=0.3,seed=5", "bw=1,dup=0.5,seed=6"}) {
+       {"dup=0.5,seed=6", "dup=0.3,seed=5", "bw=1,dup=0.5,seed=6",
+        "delay=0.3:2,seed=6", "delay=0.5:4,seed=13"}) {
     SCOPED_TRACE(spec);
     const FaultPlan plan = FaultPlan::parse(spec);
     core::BlockerApspParams p;
     p.env.faults = &plan;
     const core::BlockerApspResult got = core::blocker_apsp(g, p);
     EXPECT_EQ(got.dist, want.dist);
-    EXPECT_GT(got.stats.faults.duplicated, 0u);
+    EXPECT_GT(got.stats.faults.duplicated + got.stats.faults.delayed, 0u);
   }
 }
 

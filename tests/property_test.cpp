@@ -165,8 +165,8 @@ TEST_P(SolverProperty, MatchesDijkstraOnSeededSweep) {
       }
     }
   }
-  // 3 sizes x 4 seeds per (family, solver); the full suite of 25 params
-  // exercises 300 generated graphs.
+  // 3 sizes x 4 seeds per (family, solver); the full suite of 30 params
+  // exercises 360 generated graphs.
   EXPECT_GE(cases, 12u);
 }
 
@@ -176,7 +176,7 @@ std::vector<Case> all_cases() {
                          Family::kRandom, Family::kZeroCycle}) {
     for (const Solver s : {Solver::kPipelined, Solver::kBlocker,
                            Solver::kScaled, Solver::kApprox,
-                           Solver::kReference}) {
+                           Solver::kReference, Solver::kBellmanFord}) {
       out.push_back({f, s});
     }
   }
@@ -400,7 +400,7 @@ TEST_P(QueryDifferential, MatchesSequentialReferences) {
       }
     }
   }
-  // 3 sizes x 4 seeds per (family, solver); 20 params -> 240 graphs.
+  // 3 sizes x 4 seeds per (family, solver); 25 params -> 300 graphs.
   EXPECT_GE(cases, 12u);
 }
 
@@ -408,10 +408,11 @@ std::vector<QueryCase> all_query_cases() {
   std::vector<QueryCase> out;
   for (const QFamily f : {QFamily::kPath, QFamily::kGrid, QFamily::kRandom,
                           QFamily::kZeroCycle, QFamily::kRmat}) {
-    // The four exact path-capable solvers; approx is excluded because the
+    // The five exact path-capable solvers; approx is excluded because the
     // analytics families require exact distances and a next-hop table.
     for (const Solver s : {Solver::kPipelined, Solver::kBlocker,
-                           Solver::kScaled, Solver::kReference}) {
+                           Solver::kScaled, Solver::kReference,
+                           Solver::kBellmanFord}) {
       out.push_back({f, s});
     }
   }

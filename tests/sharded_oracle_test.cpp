@@ -69,7 +69,7 @@ TEST(ShardedOracle, BitIdenticalToFlatAcrossSolversAndShardCounts) {
   for (const service::Solver s :
        {service::Solver::kPipelined, service::Solver::kBlocker,
         service::Solver::kScaled, service::Solver::kApprox,
-        service::Solver::kReference}) {
+        service::Solver::kReference, service::Solver::kBellmanFord}) {
     const service::OracleBuildOptions opts{s, 0, 0.5};
     const service::DistanceOracle flat = service::build_oracle(g, opts);
     for (const std::size_t shards : kShardCounts) {
